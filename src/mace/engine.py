@@ -200,7 +200,11 @@ class RunRecord:
 
 
 def make_evaluator(problem: Problem) -> Evaluator:
-    """Evaluator over a built-in problem; faults are recorded as NaN rows."""
+    """Evaluator over a built-in problem; faults are recorded as NaN rows.
+
+    Any exception raised while evaluating a point faults that point only, so
+    one bad evaluation never ends the run.
+    """
 
     def evaluator(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         X = np.atleast_2d(X)
@@ -209,7 +213,7 @@ def make_evaluator(problem: Problem) -> Evaluator:
         for i, x in enumerate(X):
             try:
                 y[i], C[i] = evaluate(problem, x)
-            except EvaluatorFaultError:
+            except Exception:
                 y[i] = np.nan
         return y, C
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 from .errors import DimensionMismatchError, FitFailureError, SingularKernelError
@@ -24,6 +25,8 @@ _LOG_NOISE_BOUNDS = (math.log(1e-6), math.log(1.0))
 
 # Jitter ladder: escalate only when the factorization fails outright.
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -192,15 +195,12 @@ def log_marginal_likelihood(dataset: Dataset, hyp: KernelHyperParams) -> float:
     """GP log evidence of the standardized targets under the given hyperparameters."""
     if dataset.n < 1:
         raise ValueError("need at least one observation")
-    y_std, _, _ = _standardize(dataset.y)
-    K = kernel_matrix(dataset.X, dataset.X, hyp)
-    K[np.diag_indices_from(K)] += hyp.noise_stddev**2
-    L, _ = _chol_with_jitter(K)
-    alpha = cho_solve((L, True), y_std)
+    model = build_gp(dataset, hyp)
+    y_std = (dataset.y - model.y_mean) / model.y_scale
     return float(
-        -0.5 * y_std @ alpha
-        - np.sum(np.log(np.diag(L)))
-        - 0.5 * dataset.n * math.log(2.0 * math.pi)
+        -0.5 * y_std @ model.alpha
+        - np.sum(np.log(np.diag(model.chol_lower)))
+        - 0.5 * dataset.n * _LOG_2PI
     )
 
 
@@ -220,29 +220,46 @@ def _neg_lml_and_grad(log_theta: np.ndarray, sqdists: np.ndarray, y_std: np.ndar
     """Negative log evidence and gradient w.r.t. log(signal, noise, lengthscales).
 
     ``sqdists`` has shape (d, N, N) holding per-dimension squared coordinate
-    differences, so the kernel for any lengthscale vector is a cheap weighted sum.
+    differences; viewed as a (d, N^2) matrix S, the noise-free kernel is
+    Kf = sf^2 exp(-0.5 (l^-2 @ S)) and K = Kf + sn^2 I.  With alpha = K^-1 y
+    and W = alpha alpha^T - K^-1, the evidence gradient is
+
+        d lml / d log sf  = sum(W * Kf)
+        d lml / d log sn  = sn^2 tr(W)
+        d lml / d log l_k = 0.5 l_k^-2 (S @ vec(W * Kf))_k
+
+    One Cholesky factor of K gives alpha, log|K| and K^-1.  Returns
+    ``(1e25, 0)`` when K is not positive definite.
     """
     n = y_std.shape[0]
+    S = sqdists.reshape(sqdists.shape[0], -1)
     sf2 = math.exp(2.0 * log_theta[0])
     sn2 = math.exp(2.0 * log_theta[1])
     inv_l2 = np.exp(-2.0 * log_theta[2:])
-    sq = np.tensordot(inv_l2, sqdists, axes=1)
-    Kf = sf2 * np.exp(-0.5 * sq)
-    K = Kf + sn2 * np.eye(n)
-    try:
-        L = cholesky(K, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
+    Kf = sf2 * np.exp(-0.5 * (inv_l2 @ S)).reshape(n, n)
+    K = Kf.copy()
+    K.flat[:: n + 1] += sn2
+    # K is symmetric, so its transpose is the Fortran-ordered array LAPACK
+    # factors in place without a copy.
+    L, info = dpotrf(K.T, lower=1, overwrite_a=1)
+    if info != 0:
         return 1e25, np.zeros_like(log_theta)
-    alpha = cho_solve((L, True), y_std, check_finite=False)
-    lml = -0.5 * y_std @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi)
-    # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j)
-    W = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(n), check_finite=False)
+    alpha = dpotrs(L, y_std, lower=1)[0]
+    lml = -0.5 * y_std @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * _LOG_2PI
+    # dpotrf zeroed the upper triangle and dpotri keeps it, so this array holds
+    # K^-1 on and below the diagonal only.  Weighting that half twice instead
+    # of symmetrizing is exact for the lengthscale terms because S is
+    # symmetric with a zero diagonal; the signal term adds back the diagonal
+    # it double-counts (Kf has sf^2 on its diagonal).
+    Kinv_lower = dpotri(L, lower=1, overwrite_c=1)[0]
+    tr_inv = np.trace(Kinv_lower)
+    M = np.outer(alpha, alpha)
+    M -= 2.0 * Kinv_lower
+    M *= Kf
     grad = np.empty_like(log_theta)
-    grad[0] = np.sum(W * Kf)              # dK/dlog sf = 2 Kf
-    grad[1] = sn2 * np.trace(W)           # dK/dlog sn = 2 sn^2 I
-    WKf = W * Kf
-    for k in range(sqdists.shape[0]):     # dK/dlog l_k = Kf * sq_k / l_k^2
-        grad[2 + k] = 0.5 * np.sum(WKf * (sqdists[k] * inv_l2[k]))
+    grad[0] = M.sum() + sf2 * tr_inv
+    grad[1] = sn2 * (alpha @ alpha - tr_inv)
+    grad[2:] = 0.5 * inv_l2 * (S @ M.ravel())
     return -lml, -grad
 
 

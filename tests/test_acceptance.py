@@ -206,6 +206,7 @@ def test_criterion_4_pareto_brute_force_oracle():
            f"{mismatches} mismatches in 1000 instances, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_branin_regret_beats_random(branin_b5, branin_random):
     records, elapsed = branin_b5
     med_regret = float(np.median(regrets(records)))
@@ -217,6 +218,7 @@ def test_criterion_5_branin_regret_beats_random(branin_b5, branin_random):
            f"vs random {med_random:.4f}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_batch_size_robustness(branin_b5, branin_b15):
     rec5, el5 = branin_b5
     rec15, el15 = branin_b15
@@ -227,6 +229,7 @@ def test_criterion_6_batch_size_robustness(branin_b5, branin_b15):
                   f"{el5 + el15:.0f}s total")
 
 
+@pytest.mark.slow
 def test_criterion_7_constrained_two_stage(ring_runs):
     mace, omace, rand, elapsed = ring_runs
     med_mace_first = float(np.median(first_feasible_or_inf(mace)))
@@ -246,6 +249,7 @@ def test_criterion_7_constrained_two_stage(ring_runs):
            f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_pruning_contract(ring_runs):
     mace, _, _, _ = ring_runs
     checked, violations = 0, 0

@@ -401,6 +401,21 @@ class TestRunUnconstrained:
         assert rec.final_incumbent is not None
 
 
+    def test_objective_exceptions_fault_their_points(self):
+        def objective(x):
+            if x[0] < 0.3:
+                raise ZeroDivisionError("objective undefined for x0 < 0.3")
+            return float((x[0] - 0.63) ** 2 + (x[1] - 0.4) ** 2)
+
+        problem = Problem("left-undefined", 2, np.zeros(2), np.ones(2), objective)
+        cfg = RunConfig(n_iter=3, batch_size=4, n_init=6, seed=6, demo=SMALL_DEMO)
+        rec = run_unconstrained(problem, cfg)
+        assert len(rec.evaluations) == cfg.total_evaluations
+        faulted = [r.faulted for r in rec.evaluations]
+        assert any(faulted)
+        assert faulted == [bool(r.x[0] < 0.3) for r in rec.evaluations]
+        assert rec.final_incumbent.point[0] >= 0.3
+
 class TestRunConstrained:
     def test_requires_constraints(self):
         with pytest.raises(DimensionMismatchError):

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from mace.errors import DimensionMismatchError, SingularKernelError
 from mace.gp import (
+    _LOG_NOISE_BOUNDS,
     Dataset,
     KernelHyperParams,
     _chol_with_jitter,
+    _neg_lml_and_grad,
+    _standardize,
     build_gp,
     fit_gp,
     kernel_se,
@@ -139,6 +142,62 @@ class TestLogMarginalLikelihood:
         assert log_marginal_likelihood(ds, hyp) == pytest.approx(
             dense_lml_oracle(ds, hyp), rel=1e-8
         )
+
+
+def sqdists_of(X):
+    """Per-dimension squared differences, shaped (d, N, N) as ``fit_gp`` builds them."""
+    return np.ascontiguousarray(np.moveaxis((X[:, None, :] - X[None, :, :]) ** 2, -1, 0))
+
+
+class TestEvidenceGradient:
+    # Lengthscales keep K well conditioned even at the smallest noise, so
+    # finite differences resolve the gradient; the bound is on the norm-wise
+    # relative error with a central step of 1e-5 in log space.
+    CASES = [(5, 1, 0.1), (40, 2, 0.1), (60, 10, 1.0)]
+    NOISES = [math.log(0.1), _LOG_NOISE_BOUNDS[0] + 0.1]
+
+    @staticmethod
+    def problem(n, d, ls_scale, log_noise):
+        rng = np.random.default_rng(100 * n + d)
+        ds = random_dataset(rng, n, d)
+        lengthscales = ls_scale * rng.uniform(0.7, 1.4, d)
+        log_theta = np.concatenate([[math.log(1.2), log_noise], np.log(lengthscales)])
+        return ds, log_theta
+
+    @pytest.mark.parametrize("log_noise", NOISES)
+    @pytest.mark.parametrize("n,d,ls_scale", CASES)
+    def test_matches_central_differences(self, n, d, ls_scale, log_noise):
+        ds, log_theta = self.problem(n, d, ls_scale, log_noise)
+        y_std, _, _ = _standardize(ds.y)
+        sqdists = sqdists_of(ds.X)
+        _, grad = _neg_lml_and_grad(log_theta, sqdists, y_std)
+        h = 1e-5
+        fd = np.array([
+            (_neg_lml_and_grad(log_theta + h * e, sqdists, y_std)[0]
+             - _neg_lml_and_grad(log_theta - h * e, sqdists, y_std)[0]) / (2 * h)
+            for e in np.eye(log_theta.size)
+        ])
+        assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
+
+    @pytest.mark.parametrize("log_noise", NOISES)
+    @pytest.mark.parametrize("n,d,ls_scale", CASES)
+    def test_value_is_negative_log_evidence(self, n, d, ls_scale, log_noise):
+        ds, log_theta = self.problem(n, d, ls_scale, log_noise)
+        y_std, _, _ = _standardize(ds.y)
+        value, _ = _neg_lml_and_grad(log_theta, sqdists_of(ds.X), y_std)
+        theta = np.exp(log_theta)
+        lml = log_marginal_likelihood(ds, KernelHyperParams(theta[0], theta[1], theta[2:]))
+        assert value == pytest.approx(-lml, rel=1e-10)
+
+    def test_non_positive_definite_kernel_is_rejected(self):
+        # Negative "squared distances" push off-diagonal covariances above the
+        # signal variance, which no positive definite matrix has.
+        sqdists = -np.ones((1, 3, 3))
+        sqdists[0][np.diag_indices(3)] = 0.0
+        log_theta = np.array([0.0, _LOG_NOISE_BOUNDS[0], 0.0])
+        value, grad = _neg_lml_and_grad(log_theta, sqdists, np.array([1.0, 0.0, -1.0]))
+        assert value == 1e25
+        assert np.array_equal(grad, np.zeros(3))
 
 
 class TestFit:
