@@ -6,6 +6,13 @@ the population, which is then truncated back to size with non-dominated
 sorting and crowding distance.  An external archive keeps the non-dominated
 set of everything evaluated so far.
 
+All dominance tests go through one n-by-n weak-order matrix, ``le[i, j] =
+all(A[i] <= B[j])``, built column by column.  Row i dominates row j exactly
+when ``le[i, j] and not le[j, i]``: given ``all(Fi <= Fj)``, some ``Fi < Fj``
+holds iff not every ``Fj <= Fi``.  ``le[i, j]`` is only true when every
+coordinate pair was ordered, so the identity also holds with infinities and
+NaN (a NaN coordinate makes both entries false, and nothing dominates).
+
 Objective callables receive a whole candidate batch at once: ``f(X)`` with
 ``X`` of shape (n, d) must return an (n, m) array of objective values, all in
 minimization orientation.
@@ -77,11 +84,28 @@ def dominates(a, b) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
+def _weakly_le(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Weak order between row sets: entry (i, j) is True iff ``all(A[i] <= B[j])``.
+
+    Built as an AND over the m columns into one (len(A), len(B)) array, so no
+    (n, n, m) intermediate is ever formed.
+    """
+    le = np.ones((A.shape[0], B.shape[0]), dtype=bool)
+    for k in range(A.shape[1]):
+        le &= A[:, None, k] <= B[None, :, k]
+    return le
+
+
 def _domination_matrix(F: np.ndarray) -> np.ndarray:
-    """Pairwise dominance: entry (i, j) is True iff row i dominates row j."""
-    le = np.all(F[:, None, :] <= F[None, :, :], axis=2)
-    lt = np.any(F[:, None, :] < F[None, :, :], axis=2)
-    return le & lt
+    """Pairwise dominance: entry (i, j) is True iff row i dominates row j.
+
+    With ``le = _weakly_le(F, F)`` this is ``le & ~le.T``.  It is exact: when
+    ``le[i, j]`` holds, ``any(F[i] < F[j])`` equals ``not all(F[j] <= F[i])``,
+    and ``le[i, j]`` requires every coordinate pair to be ordered, so ties,
+    duplicate rows, infinities and NaN all give the textbook answer.
+    """
+    le = _weakly_le(F, F)
+    return le & ~le.T
 
 
 def non_dominated_mask(objectives: np.ndarray) -> np.ndarray:
@@ -166,18 +190,22 @@ def _update_archive(arch_x, arch_f, new_x, new_f, cap: int):
     """Merge new evaluations into the non-dominated archive, crowding-pruned at cap.
 
     The archive is already mutually non-dominated, so only child-vs-child and
-    the two cross directions need checking.
+    the two cross directions need checking.  Both cross directions come from
+    the two weak-order matrices ``le_ac`` (archive <= child) and ``le_ca``
+    (child <= archive): archive row i dominates child j iff
+    ``le_ac[i, j] and not le_ca[j, i]``, by the identity in the module
+    docstring, and symmetrically for children over archive rows.
     """
     child_mask = non_dominated_mask(new_f)
     cx, cf = new_x[child_mask], new_f[child_mask]
-    arch_dom_child = np.all(arch_f[:, None, :] <= cf[None, :, :], axis=2) & np.any(
-        arch_f[:, None, :] < cf[None, :, :], axis=2
-    )
-    child_dom_arch = np.all(cf[:, None, :] <= arch_f[None, :, :], axis=2) & np.any(
-        cf[:, None, :] < arch_f[None, :, :], axis=2
-    )
-    X = np.vstack([arch_x[~child_dom_arch.any(axis=0)], cx[~arch_dom_child.any(axis=0)]])
-    F = np.vstack([arch_f[~child_dom_arch.any(axis=0)], cf[~arch_dom_child.any(axis=0)]])
+    le_ac = _weakly_le(arch_f, cf)
+    le_ca = _weakly_le(cf, arch_f)
+    arch_dom_child = le_ac & ~le_ca.T
+    child_dom_arch = le_ca & ~le_ac.T
+    keep_arch = ~child_dom_arch.any(axis=0)
+    keep_child = ~arch_dom_child.any(axis=0)
+    X = np.vstack([arch_x[keep_arch], cx[keep_child]])
+    F = np.vstack([arch_f[keep_arch], cf[keep_child]])
     if X.shape[0] > cap:
         keep = np.argsort(-crowding_distance(F), kind="stable")[:cap]
         keep.sort()

@@ -63,13 +63,7 @@ class RunConfig:
     one_stage: bool = False
 
     def __post_init__(self):
-        names = tuple(str(e).lower() for e in self.ensemble)
-        unknown = set(names) - set(ENSEMBLE_ORDER)
-        if unknown:
-            raise ValueError(f"unknown ensemble members: {sorted(unknown)}")
-        if not names:
-            raise ValueError("ensemble must be non-empty")
-        object.__setattr__(self, "ensemble", tuple(e for e in ENSEMBLE_ORDER if e in names))
+        object.__setattr__(self, "ensemble", _canonical_ensemble(self.ensemble))
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.n_init < 2:
@@ -221,11 +215,27 @@ def make_evaluator(problem: Problem) -> Evaluator:
 
 
 def _canonical_ensemble(ensemble) -> tuple:
-    names = tuple(str(e).lower() for e in ensemble)
-    ordered = tuple(e for e in ENSEMBLE_ORDER if e in names)
-    if not ordered:
+    """Lower-cased ensemble names in ``ENSEMBLE_ORDER``; unknown or no names raise."""
+    names = {str(e).lower() for e in ensemble}
+    unknown = names - set(ENSEMBLE_ORDER)
+    if unknown:
+        raise ValueError(f"unknown ensemble members: {sorted(unknown)}")
+    if not names:
         raise ValueError("ensemble must contain at least one of lcb, pi, ei")
-    return ordered
+    return tuple(e for e in ENSEMBLE_ORDER if e in names)
+
+
+def _acq_columns(mu: np.ndarray, s: np.ndarray, coords: tuple, beta: float, ctx: AcqContext) -> list:
+    """Acquisition objective columns (LCB, -PI, -EI) for the canonical ``coords``."""
+    cols = []
+    for name in coords:
+        if name == "lcb":
+            cols.append(acq.lcb(mu, s, beta))
+        elif name == "pi":
+            cols.append(-acq.pi(mu, s, ctx))
+        else:
+            cols.append(-acq.ei(mu, s, ctx))
+    return cols
 
 
 def _constraint_posteriors(constraint_models, X: np.ndarray):
@@ -242,15 +252,7 @@ def build_unconstrained_objectives(model: GpModel, ctx: AcqContext, ensemble=ENS
 
     def objectives(X: np.ndarray) -> np.ndarray:
         mu, s = predict(model, np.atleast_2d(X))
-        cols = []
-        for name in coords:
-            if name == "lcb":
-                cols.append(acq.lcb(mu, s, beta))
-            elif name == "pi":
-                cols.append(-acq.pi(mu, s, ctx))
-            else:
-                cols.append(-acq.ei(mu, s, ctx))
-        return np.column_stack(cols)
+        return np.column_stack(_acq_columns(mu, s, coords, beta, ctx))
 
     return objectives
 
@@ -295,14 +297,7 @@ def build_stage2_objectives(
         X = np.atleast_2d(X)
         mu, s = predict(objective_model, X)
         cmu, cs = _constraint_posteriors(constraint_models, X)
-        cols = []
-        for name in coords:
-            if name == "lcb":
-                cols.append(acq.lcb(mu, s, beta))
-            elif name == "pi":
-                cols.append(-acq.pi(mu, s, ctx))
-            else:
-                cols.append(-acq.ei(mu, s, ctx))
+        cols = _acq_columns(mu, s, coords, beta, ctx)
         cols.extend([-acq.pf(cmu, cs), acq.naive_violation(cmu), acq.adaptive_violation(cmu, cs)])
         return np.column_stack(cols)
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from mace.demo import (
     DemoConfig,
     ParetoSet,
+    _domination_matrix,
+    _update_archive,
     crowding_distance,
     demo_optimize,
     dominates,
@@ -17,6 +19,24 @@ from mace.demo import (
 from mace.errors import DimensionMismatchError, EvaluatorFaultError
 
 vec3 = st.lists(st.integers(0, 4), min_size=3, max_size=3).map(np.array)
+
+# Small integer grids force ties; the float pool puts infinities next to finite values.
+grid_values = st.integers(0, 3).map(float)
+float_values = st.one_of(
+    st.sampled_from([-np.inf, np.inf, 0.0, -0.0]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def objective_matrix(draw, m=None):
+    """(n, m) objectives, m in {1, 2, 3, 6}, with some rows repeated verbatim."""
+    if m is None:
+        m = draw(st.sampled_from([1, 2, 3, 6]))
+    values = draw(st.sampled_from([grid_values, float_values]))
+    F = np.array(draw(st.lists(st.lists(values, min_size=m, max_size=m), min_size=1, max_size=12)))
+    repeats = draw(st.lists(st.integers(0, F.shape[0] - 1), max_size=3))
+    return np.vstack([F, F[repeats]])
 
 
 def brute_force_front(F):
@@ -88,6 +108,43 @@ class TestParetoFront:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pareto_front(np.zeros((0, 2)))
+
+
+class TestDominationKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(objective_matrix())
+    def test_matches_pairwise_dominates(self, F):
+        D = _domination_matrix(F)
+        n = F.shape[0]
+        assert D.shape == (n, n) and D.dtype == bool
+        for i in range(n):
+            for j in range(n):
+                assert D[i, j] == dominates(F[i], F[j]), (i, j, F[i], F[j])
+
+    def test_nan_rows_neither_dominate_nor_are_dominated(self):
+        F = np.array([[0.0, 0.0], [np.nan, 1.0], [2.0, 2.0]])
+        D = _domination_matrix(F)
+        assert not D[1].any() and not D[:, 1].any()
+        assert D[0, 2]
+
+
+class TestUpdateArchive:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_below_cap_is_front_of_union(self, data):
+        m = data.draw(st.sampled_from([1, 2, 3, 6]))
+        pool = data.draw(objective_matrix(m=m))
+        arch_f = pool[sorted(brute_force_front(pool))]
+        new_f = data.draw(objective_matrix(m=m))
+        # Point rows carry an id, so the result names which union rows survived.
+        union_f = np.vstack([arch_f, new_f])
+        ids = np.arange(union_f.shape[0], dtype=float)[:, None]
+        na = arch_f.shape[0]
+        X, F = _update_archive(ids[:na], arch_f, ids[na:], new_f, cap=union_f.shape[0] + 1)
+        kept = X[:, 0].astype(int)
+        assert set(kept) == brute_force_front(union_f)
+        assert kept.size == len(set(kept))
+        assert np.array_equal(F, union_f[kept])
 
 
 class TestCrowding:

@@ -92,6 +92,13 @@ class TestUnconstrainedObjectives:
         pi_lcb = build_unconstrained_objectives(model, ctx, ("lcb", "pi"))(X)
         np.testing.assert_allclose(pi_lcb, full[:, :2])
 
+    def test_unknown_member_rejected(self):
+        rng = np.random.default_rng(1)
+        model, ds = toy_model(rng)
+        ctx = AcqContext(tau=float(ds.y.min()), d=2)
+        with pytest.raises(ValueError, match="ucb"):
+            build_unconstrained_objectives(model, ctx, ("lcb", "ucb"))
+
     def test_single_ei_tracks_grid_argmax(self):
         # sparse design so expected improvement keeps a clear interior peak
         X = np.array([[0.05], [0.2], [0.45], [0.8], [0.95]])
