@@ -227,7 +227,8 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, initial_points=Non
     population.  ``initial_points`` warm-start part of that population (rows
     beyond the population size are ignored); the rest is uniform random.  The
     result merges the final population with the archive of all non-dominated
-    evaluated points; it is deterministic for a fixed seed.
+    evaluated points, each distinct point once; it is deterministic for a fixed
+    seed.
     """
     rng = np.random.default_rng(config.seed)
     pop = config.population_size
@@ -278,5 +279,8 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, initial_points=Non
 
     all_x = np.vstack([pop_x, arch_x])
     all_f = np.vstack([pop_f, arch_f])
+    # A population member is usually also in the archive; keep its first copy.
+    first = np.sort(np.unique(all_x, axis=0, return_index=True)[1])
+    all_x, all_f = all_x[first], all_f[first]
     mask = non_dominated_mask(all_f)
     return ParetoSet(all_x[mask], all_f[mask])

@@ -21,7 +21,12 @@ from .errors import DimensionMismatchError, FitFailureError, SingularKernelError
 # Box bounds for the hyperparameter search, in log space.
 _LOG_LENGTHSCALE_BOUNDS = (math.log(1e-2), math.log(10.0))
 _LOG_SIGNAL_BOUNDS = (math.log(1e-2), math.log(10.0))
-_LOG_NOISE_BOUNDS = (math.log(1e-6), math.log(1.0))
+# The noise floor is on the standardized target scale, where the signal
+# variance is O(1).  K + sn^2 I then has a condition number near N sf^2 / sn^2:
+# about 1e14 at sn = 1e-6, which leaves the evidence and its gradient two
+# significant digits and makes L-BFGS-B fail its line searches at the bound.
+# A 1e-3 floor keeps the condition number near 1e8 and about eight good digits.
+_LOG_NOISE_BOUNDS = (math.log(1e-3), math.log(1.0))
 
 # Jitter ladder: escalate only when the factorization fails outright.
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)

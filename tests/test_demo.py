@@ -193,6 +193,17 @@ class TestDemoOptimize:
         demo_optimize(fn, 2, cfg)
         assert calls["points"] == 30 + 95  # initial population plus exactly the budget
 
+    def test_result_points_pairwise_distinct(self):
+        # Population members that also sit in the archive are returned once.
+        rng = np.random.default_rng(5)
+        A = rng.random((3, 2))
+
+        def fn(X):
+            return np.column_stack([np.sum((X - a) ** 2, axis=1) for a in A])
+
+        ps = demo_optimize(fn, 2, DemoConfig(seed=0))
+        assert np.unique(ps.points, axis=0).shape[0] == len(ps)
+
     def test_result_mutually_non_dominated_and_in_cube(self):
         rng = np.random.default_rng(5)
         A = rng.random((3, 4))

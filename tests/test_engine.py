@@ -20,7 +20,7 @@ from mace.engine import (
     sample_batch,
 )
 from mace.demo import demo_optimize
-from mace.errors import DimensionMismatchError, StageError
+from mace.errors import DimensionMismatchError, EvaluatorFaultError, StageError
 from mace.gp import Dataset, GpModel, KernelHyperParams, build_gp, fit_gp, predict
 from mace.problems import Problem, builtin
 
@@ -407,6 +407,40 @@ class TestRunUnconstrained:
         assert len(faults) == cfg.total_evaluations // 5
         assert rec.final_incumbent is not None
 
+    def test_faulted_initial_design_is_a_defined_error(self):
+        problem = builtin("branin")
+        base = make_evaluator(problem)
+        calls = [0]
+
+        def dead_start(X):
+            calls[0] += 1
+            y, C = base(X)
+            if calls[0] == 1:
+                y[:] = np.nan
+            return y, C
+
+        cfg = RunConfig(n_iter=2, batch_size=3, n_init=6, seed=6, demo=SMALL_DEMO)
+        with pytest.raises(EvaluatorFaultError, match="fewer than two usable observations"):
+            run_unconstrained(problem, cfg, evaluator=dead_start)
+
+    def test_whole_faulted_batch_run_continues(self):
+        problem = builtin("branin")
+        base = make_evaluator(problem)
+        calls = [0]
+
+        def dead_batch(X):
+            calls[0] += 1
+            y, C = base(X)
+            if calls[0] == 3:  # the initial design, then iterations 1, 2, ...
+                y[:] = np.nan
+            return y, C
+
+        cfg = RunConfig(n_iter=4, batch_size=4, n_init=6, seed=6, demo=SMALL_DEMO)
+        rec = run_unconstrained(problem, cfg, evaluator=dead_batch)
+        assert len(rec.evaluations) == cfg.total_evaluations
+        assert [r.faulted for r in rec.evaluations] == [r.iteration == 2 for r in rec.evaluations]
+        vals = [inc.value for inc in rec.incumbent_trace]
+        assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_objective_exceptions_fault_their_points(self):
         def objective(x):

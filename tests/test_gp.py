@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
+from scipy.stats import qmc
 
 from mace.errors import DimensionMismatchError, SingularKernelError
 from mace.gp import (
@@ -21,6 +23,7 @@ from mace.gp import (
     log_marginal_likelihood,
     predict,
 )
+from mace.problems import builtin
 
 
 def unit_bounds(d):
@@ -152,9 +155,11 @@ def sqdists_of(X):
 class TestEvidenceGradient:
     # Lengthscales keep K well conditioned even at the smallest noise, so
     # finite differences resolve the gradient; the bound is on the norm-wise
-    # relative error with a central step of 1e-5 in log space.
+    # relative error with a central step of 1e-5 in log space.  The noises are
+    # a moderate one, one just above the search floor, and one three decades
+    # below that floor, which fixed hyperparameters can still ask for.
     CASES = [(5, 1, 0.1), (40, 2, 0.1), (60, 10, 1.0)]
-    NOISES = [math.log(0.1), _LOG_NOISE_BOUNDS[0] + 0.1]
+    NOISES = [math.log(0.1), _LOG_NOISE_BOUNDS[0] + 0.1, math.log(1e-6) + 0.1]
 
     @staticmethod
     def problem(n, d, ls_scale, log_noise):
@@ -233,6 +238,27 @@ class TestFit:
         ds = Dataset(X, np.array([1.0, 1.0]), np.zeros((2, 0)), unit_bounds(2))
         with pytest.raises(ValueError):
             fit_gp(ds, restarts=2, seed=0)
+
+    def test_restarts_converge_on_noiseless_branin(self, monkeypatch):
+        # Noiseless data drives the fitted noise to its floor.  With a floor
+        # that leaves K + sn^2 I ill conditioned, the evidence is too imprecise
+        # for the line search and most restarts end in failure there.
+        outcomes = []
+
+        def counted(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            outcomes.append(bool(res.success))
+            return res
+
+        monkeypatch.setattr("mace.gp.minimize", counted)
+        problem = builtin("branin")
+        for n in (40, 80, 120):
+            for s in range(4):
+                X = qmc.LatinHypercube(d=2, seed=s).random(n)
+                y = np.array([problem.objective(problem.denormalize(x)) for x in X])
+                fit_gp(Dataset(X, y, np.zeros((n, 0)), unit_bounds(2)), restarts=5, seed=s)
+        assert len(outcomes) == 60
+        assert outcomes.count(False) <= 2
 
 
 class TestPredict:
