@@ -252,9 +252,11 @@ def external_evaluate(command, points, n_constraints: int = 0,
     """Evaluate a batch of points through a child process.
 
     Requests are written as JSON lines, at most ``max_parallel`` outstanding at
-    a time (all at once by default).  Points whose response does not arrive
-    within ``timeout`` seconds, or that the child never answers before exiting,
-    are faulted (NaN); malformed responses raise :class:`ProtocolError`.
+    a time (all at once by default).  Each point has ``timeout`` seconds from
+    when its request is sent; once the oldest unanswered point runs out of
+    time, it and every other point not yet answered are faulted (NaN), as are
+    points the child never answers before exiting.  Malformed responses raise
+    :class:`ProtocolError`.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
@@ -281,6 +283,7 @@ def external_evaluate(command, points, n_constraints: int = 0,
 
     window = n if max_parallel is None else max(1, min(n, max_parallel))
     sent = 0
+    sent_at: list[float] = []  # monotonic send time of each request, by id
     pipe_open = True
     answered: set[int] = set()
 
@@ -292,6 +295,7 @@ def external_evaluate(command, points, n_constraints: int = 0,
         try:
             proc.stdin.write(payload + "\n")
             proc.stdin.flush()
+            sent_at.append(time.monotonic())
             sent += 1
             if sent == n:
                 proc.stdin.close()
@@ -301,9 +305,11 @@ def external_evaluate(command, points, n_constraints: int = 0,
     try:
         for _ in range(window):
             _send_next()
-        deadline = time.monotonic() + timeout
+        oldest = 0  # lowest id not yet answered; ids are sent in order
         while len(answered) < sent:
-            remaining = deadline - time.monotonic()
+            while oldest in answered:
+                oldest += 1
+            remaining = sent_at[oldest] + timeout - time.monotonic()
             if remaining <= 0:
                 break
             try:
@@ -338,6 +344,17 @@ def external_evaluate(command, points, n_constraints: int = 0,
         if proc.poll() is None:
             proc.kill()
         proc.wait()
+        # The child is gone, so the reader reaches EOF; the bound only guards
+        # against a grandchild that inherited the pipe and keeps it open.
+        # Closing stdout under a running reader would block on its lock.
+        reader.join(timeout=5.0)
+        if not reader.is_alive():
+            proc.stdout.close()
+        if not proc.stdin.closed:
+            try:
+                proc.stdin.close()
+            except BrokenPipeError:
+                pass  # unsent bytes of a failed write; the fd is closed regardless
 
     return y, C
 

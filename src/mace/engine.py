@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import acquisition as acq
 from .acquisition import AcqContext
@@ -351,10 +350,22 @@ def sample_batch(pareto: ParetoSet, batch_size: int, rng: np.random.Generator, s
 
 
 def _initial_design(config: RunConfig, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Initial design in the unit cube: uniform, or a randomized Latin hypercube.
+
+    The Latin hypercube puts one point in each of the ``n_init`` strata of every
+    column.  Its draws follow ``scipy.stats.qmc.LatinHypercube(d=dim, seed=s)
+    .random(n_init)`` with ``g = default_rng(s)``, so the design is byte-identical
+    to scipy's, and ``import mace`` need not load ``scipy.stats``, a slow import.
+    """
+    n = config.n_init
     if config.init_design == "uniform":
-        return rng.random((config.n_init, dim))
-    sampler = qmc.LatinHypercube(d=dim, seed=int(rng.integers(2**31 - 1)))
-    return sampler.random(config.n_init)
+        return rng.random((n, dim))
+    g = np.random.default_rng(int(rng.integers(2**31 - 1)))
+    u = g.uniform(size=(n, dim))
+    perms = np.tile(np.arange(1, n + 1), (dim, 1))
+    for row in perms:
+        g.shuffle(row)
+    return (perms.T - u) / n
 
 
 def _warm_start(dataset: Dataset, cap: int) -> np.ndarray:

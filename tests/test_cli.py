@@ -37,6 +37,8 @@ for line in sys.stdin:
         sys.exit(1)
     if mode == "sleep" and i == 1:
         time.sleep(10)
+    if mode == "slow":
+        time.sleep(0.4)
     if mode == "malformed" and i == 1:
         print("{this is not json", flush=True)
         answered += 1
@@ -46,6 +48,8 @@ for line in sys.stdin:
     if mode == "constrained":
         resp["c"] = [x[0] - 0.5]
     print(json.dumps(resp), flush=True)
+    if mode == "dup" and i == 0:
+        print(json.dumps(resp), flush=True)
     answered += 1
 """
 
@@ -174,6 +178,17 @@ class TestExternalEvaluate:
         assert np.isfinite(y[0])
         assert np.isnan(y[1]) and np.isnan(y[2])
 
+    def test_timeout_counts_per_point_under_max_parallel(self, child):
+        # Each answer takes 0.4 s; the batch takes 1.6 s, each point 0.4 s.
+        pts = np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0], [0.4, 0.0]])
+        y, _ = external_evaluate(child("slow"), pts, timeout=1.0, max_parallel=1)
+        np.testing.assert_allclose(y, pts.sum(axis=1))
+
+    def test_duplicate_id_raises_protocol_error(self, child):
+        pts = np.array([[0.1, 0.0], [0.2, 0.0]])
+        with pytest.raises(ProtocolError):
+            external_evaluate(child("dup"), pts, timeout=5)
+
     def test_windowed_dispatch_with_max_parallel(self, child):
         pts = np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0], [0.4, 0.0]])
         y, _ = external_evaluate(child("echo"), pts, timeout=30, max_parallel=1)
@@ -187,7 +202,8 @@ class TestCampaign:
         assert (tmp_path / "camp" / "summary.json").exists()
         assert (tmp_path / "camp" / "summary.csv").exists()
         for i in range(spec.repeats):
-            rows = list(csv.DictReader(open(tmp_path / "camp" / f"run_{i}.csv")))
+            with open(tmp_path / "camp" / f"run_{i}.csv") as fh:
+                rows = list(csv.DictReader(fh))
             assert len(rows) == spec.n_init + spec.n_iter * spec.batch
         assert summary["final_best"]["std"] >= 0
         assert summary["success_count"] == spec.repeats
@@ -211,7 +227,8 @@ class TestCampaign:
         summary = run_campaign(spec)
         finals = []
         for i in range(spec.repeats):
-            rows = list(csv.DictReader(open(tmp_path / "rc" / f"run_{i}.csv")))
+            with open(tmp_path / "rc" / f"run_{i}.csv") as fh:
+                rows = list(csv.DictReader(fh))
             ys = [float(r["y"]) for r in rows if r["feasible"] == "1"]
             finals.append(min(ys))
         assert summary["final_best"]["mean"] == pytest.approx(float(np.mean(finals)), abs=1e-9)
@@ -237,7 +254,8 @@ class TestCampaign:
         )
         summary = run_campaign(spec)
         assert summary["final_best"]["best"] >= 0.0  # sums of unit-cube coords
-        rows = list(csv.DictReader(open(tmp_path / "ext" / "run_0.csv")))
+        with open(tmp_path / "ext" / "run_0.csv") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 10
 
     def test_random_and_sequential_algorithms_run(self, tmp_path):

@@ -1,14 +1,22 @@
 """Engine tests: objective builders, pruning, batch sampling and the run loops."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
 
+import mace
 from mace import acquisition as acq
 from mace.acquisition import AcqContext
 from mace.demo import DemoConfig, ParetoSet
 from mace.engine import (
     RunConfig,
+    _initial_design,
     build_stage1_objectives,
     build_stage2_objectives,
     build_unconstrained_objectives,
@@ -521,3 +529,42 @@ class TestRunConfig:
     def test_ensemble_canonicalized(self):
         cfg = RunConfig(n_iter=1, batch_size=1, ensemble=("EI", "pi"))
         assert cfg.ensemble == ("pi", "ei")
+
+
+class TestInitialDesign:
+    SEEDS = range(24)
+
+    @staticmethod
+    def lhs(n, d, seed):
+        # A plain namespace: RunConfig rejects n_init=1, the design itself does not.
+        config = SimpleNamespace(n_init=n, init_design="lhs")
+        return _initial_design(config, d, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 120])
+    def test_byte_identical_to_scipy_latin_hypercube(self, n, d):
+        for seed in self.SEEDS:
+            s = int(np.random.default_rng(seed).integers(2**31 - 1))
+            expected = qmc.LatinHypercube(d=d, seed=s).random(n)
+            got = self.lhs(n, d, seed)
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes(), (n, d, seed)
+
+    @pytest.mark.parametrize("n, d", [(1, 3), (7, 4), (120, 2)])
+    def test_one_point_per_stratum_in_every_column(self, n, d):
+        for seed in self.SEEDS:
+            X = self.lhs(n, d, seed)
+            assert np.all((X >= 0.0) & (X < 1.0))
+            strata = np.sort(np.floor(X * n).astype(int), axis=0)
+            assert np.array_equal(strata, np.tile(np.arange(n)[:, None], (1, d)))
+
+    def test_import_does_not_load_scipy_stats(self):
+        src = str(Path(mace.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, mace, mace.cli; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "False"
