@@ -16,14 +16,17 @@ import shlex
 import subprocess
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
 from .demo import DemoConfig
 from .engine import (
+    ENSEMBLE_ORDER,
+    INIT_DESIGNS,
+    MODES,
     RunConfig,
     RunRecord,
     make_evaluator,
@@ -37,60 +40,44 @@ from . import problems as problems_mod
 
 ALGORITHMS = ("mace", "omace", "random", "sequential-ei", "sequential-lcb")
 
-_SPEC_DEFAULTS = dict(
-    problem=None,
-    algorithm="mace",
-    mode=None,
-    batch=1,
-    budget=None,
-    n_init=20,
-    repeats=None,
-    seed=0,
-    ensemble=["pi", "ei", "lcb"],
-    out_dir="mace-results",
-    max_parallel=None,
-    xi=0.001,
-    nu=0.5,
-    delta=0.05,
-    rho=0.05,
-    demo_population=100,
-    demo_evaluations=2000,
-    gp_restarts=5,
-    init_design="lhs",
-    dim=None,
-    n_constraints=None,
-    bounds=None,
-    timeout=300.0,
-)
+
+def _key(default, help=None, choices=None, low=None, flag=None):
+    """A config key's default, allowed values, lower bound, flag help and flag spelling."""
+    return field(default=default, metadata={"help": help, "choices": choices, "low": low, "flag": flag})
 
 
 @dataclass
 class ExperimentSpec:
-    """Fully resolved campaign configuration (all defaults applied)."""
+    """Campaign configuration: one field per config key, with its type and default.
 
-    problem: str
-    algorithm: str
-    mode: str
-    batch: int
-    budget: int
-    n_init: int
-    repeats: int
-    seed: int
-    ensemble: list
-    out_dir: str
-    max_parallel: Optional[int]
-    xi: float
-    nu: float
-    delta: float
-    rho: float
-    demo_population: int
-    demo_evaluations: int
-    gp_restarts: int
-    init_design: str
-    dim: Optional[int]
-    n_constraints: Optional[int]
-    bounds: Optional[list]
-    timeout: float
+    :func:`parse_config` resolves the None defaults: ``problem`` and ``budget``
+    are required, ``mode`` and ``repeats`` follow from the problem.
+    """
+
+    problem: Optional[str] = _key(None, "builtin problem name, or 'cmd:<shell command>' for an external evaluator")
+    algorithm: str = _key("mace", choices=ALGORITHMS, flag="--algo")
+    mode: Optional[str] = _key(None, "defaults from the problem", choices=MODES)
+    batch: int = _key(1, "points proposed per iteration", low=1)
+    budget: Optional[int] = _key(None, "total evaluations incl. initial design", low=1)
+    n_init: int = _key(RunConfig.n_init, low=2)
+    repeats: Optional[int] = _key(None, "seeded runs; defaults to 20 unconstrained, 12 constrained", low=1)
+    seed: int = _key(RunConfig.seed, low=0)
+    # Every member, in the order campaign summaries have always recorded.
+    ensemble: list = _key(("pi", "ei", "lcb"), f"comma list from {','.join(ENSEMBLE_ORDER)}")
+    out_dir: str = _key("mace-results", flag="--out")
+    max_parallel: Optional[int] = _key(None, "cap on in-flight external evaluations per batch", low=1)
+    xi: float = _key(RunConfig.xi, low=0)
+    nu: float = RunConfig.nu
+    delta: float = RunConfig.delta
+    rho: float = _key(RunConfig.rho, low=0)
+    demo_population: int = _key(DemoConfig.population_size, low=4)
+    demo_evaluations: int = _key(DemoConfig.max_evaluations, low=4)
+    gp_restarts: int = _key(RunConfig.gp_restarts, low=1)
+    init_design: str = _key(RunConfig.init_design, choices=INIT_DESIGNS)
+    dim: Optional[int] = _key(None, "dimension of a cmd: problem", low=1)
+    n_constraints: Optional[int] = _key(None, "constraint count of a cmd: problem", low=0, flag="--nc")
+    bounds: Optional[list] = None  # a [lower, upper] pair per dimension; no flag sets it
+    timeout: float = _key(300.0, "per-point external evaluation timeout in seconds")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -107,6 +94,34 @@ class ExperimentSpec:
         return self.problem.startswith("cmd:")
 
 
+def _as_int(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+def _as_list(value) -> list:
+    if isinstance(value, str):  # a comma list, as flags spell it
+        return [p for p in value.split(",") if p]
+    return list(value)
+
+
+# Conversion of a key's value by the type its ExperimentSpec field declares.
+_CONVERT = {int: (_as_int, "an integer"), float: (float, "a number"),
+            str: (str, "a string"), list: (_as_list, "a list")}
+
+
+def _convert(key: str, kind: type, value):
+    """``value`` as the ``kind`` a spec field declares; ConfigError names ``key`` if it is not one."""
+    convert, expected = _CONVERT[kind]
+    try:
+        if isinstance(value, bool):
+            raise TypeError(value)
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key}: must be {expected}, got {value!r}") from None
+
+
 def _require(cond: bool, key: str, message: str):
     if not cond:
         raise ConfigError(f"{key}: {message}")
@@ -115,110 +130,90 @@ def _require(cond: bool, key: str, message: str):
 def parse_config(config_path=None, overrides: Optional[dict] = None) -> ExperimentSpec:
     """Merge a JSON config file with flag overrides and apply defaults.
 
-    Unknown keys and out-of-range values raise :class:`ConfigError` naming the
-    offending key.
+    Unknown keys, values of the wrong type and out-of-range values raise
+    :class:`ConfigError` naming the offending key.  A None override is no
+    override, and a None in the file leaves the key at its default.
     """
     raw: dict = {}
     if config_path is not None:
         if isinstance(config_path, dict):
             raw.update(config_path)
         else:
-            with open(config_path) as fh:
-                loaded = json.load(fh)
+            try:
+                with open(config_path) as fh:
+                    loaded = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"config: {exc}") from None
             if not isinstance(loaded, dict):
                 raise ConfigError("config root must be a JSON object")
             raw.update(loaded)
-    for k, v in (overrides or {}).items():
-        if v is not None:
-            raw[k] = v
+    raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
 
-    unknown = set(raw) - set(_SPEC_DEFAULTS)
+    spec_fields = {f.name: f for f in fields(ExperimentSpec)}
+    unknown = set(raw) - set(spec_fields)
     if unknown:
         raise ConfigError(f"unknown key: {sorted(unknown)[0]}")
 
-    merged = dict(_SPEC_DEFAULTS)
-    merged.update(raw)
+    hints = get_type_hints(ExperimentSpec)
+    merged = asdict(ExperimentSpec())
+    for key, value in raw.items():
+        if value is None:
+            continue
+        kind = next((t for t in get_args(hints[key]) if t is not type(None)), hints[key])
+        merged[key] = _convert(key, kind, value)
+        choices, low = spec_fields[key].metadata.get("choices"), spec_fields[key].metadata.get("low")
+        _require(choices is None or merged[key] in choices, key, f"must be one of {choices}")
+        _require(low is None or merged[key] >= low, key, f"must be at least {low}")
 
     _require(merged["problem"] is not None, "problem", "is required")
-    problem_name = str(merged["problem"])
+    problem_name = merged["problem"]
     external = problem_name.startswith("cmd:")
     if not external:
         _require(problem_name in problems_mod.BUILTIN_NAMES, "problem",
                  f"unknown builtin {problem_name!r}; use one of {problems_mod.BUILTIN_NAMES} or a cmd: evaluator")
 
     if external:
-        _require(merged["dim"] is not None and int(merged["dim"]) >= 1, "dim",
-                 "external problems need an explicit positive dimension")
-        merged["dim"] = int(merged["dim"])
-        nc = 0 if merged["n_constraints"] is None else int(merged["n_constraints"])
-        _require(nc >= 0, "n_constraints", "must be non-negative")
-        merged["n_constraints"] = nc
-        if merged["bounds"] is not None:
-            b = merged["bounds"]
-            _require(
-                isinstance(b, list) and len(b) == merged["dim"]
-                and all(isinstance(p, (list, tuple)) and len(p) == 2 and p[0] < p[1] for p in b),
-                "bounds", "must be a [lower, upper] pair per dimension",
-            )
-            merged["bounds"] = [[float(p[0]), float(p[1])] for p in b]
-        n_con = nc
+        _require(merged["dim"] is not None, "dim", "external problems need an explicit positive dimension")
+        merged["n_constraints"] = merged["n_constraints"] or 0
+        b = merged["bounds"]
+        if b is not None:
+            _require(len(b) == merged["dim"] and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in b),
+                     "bounds", "must be a [lower, upper] pair per dimension")
+            merged["bounds"] = [[_convert("bounds", float, v) for v in p] for p in b]
+            _require(all(-np.inf < lo < hi < np.inf for lo, hi in merged["bounds"]), "bounds",
+                     "must be finite, each lower below its upper")
     else:
-        merged["dim"] = None
-        merged["n_constraints"] = None
-        merged["bounds"] = None
-        n_con = builtin(problem_name).n_constraints
+        merged.update(dim=None, n_constraints=None, bounds=None)
+    n_con = merged["n_constraints"] if external else builtin(problem_name).n_constraints
 
     if merged["mode"] is None:
         merged["mode"] = "constrained" if n_con > 0 else "unconstrained"
-    _require(merged["mode"] in ("unconstrained", "constrained"), "mode",
-             "must be unconstrained or constrained")
     if merged["mode"] == "constrained":
         _require(n_con >= 1, "mode", "constrained mode needs a problem with constraints")
 
-    _require(merged["algorithm"] in ALGORITHMS, "algorithm", f"must be one of {ALGORITHMS}")
-    if merged["algorithm"] == "sequential-ei":
+    if merged["algorithm"].startswith("sequential-"):
         merged["batch"] = 1
-        merged["ensemble"] = ["ei"]
-    elif merged["algorithm"] == "sequential-lcb":
-        merged["batch"] = 1
-        merged["ensemble"] = ["lcb"]
+        merged["ensemble"] = [merged["algorithm"][len("sequential-"):]]
     if merged["algorithm"] == "omace":
         _require(merged["mode"] == "constrained", "algorithm", "omace only applies to constrained mode")
 
     if merged["repeats"] is None:
         merged["repeats"] = 12 if merged["mode"] == "constrained" else 20
 
-    if isinstance(merged["ensemble"], str):
-        merged["ensemble"] = [p for p in merged["ensemble"].split(",") if p]
     merged["ensemble"] = [str(e).lower() for e in merged["ensemble"]]
     _require(
-        len(merged["ensemble"]) >= 1 and set(merged["ensemble"]) <= {"pi", "ei", "lcb"},
-        "ensemble", "must be a non-empty subset of pi, ei, lcb",
+        len(merged["ensemble"]) >= 1 and set(merged["ensemble"]) <= set(ENSEMBLE_ORDER),
+        "ensemble", f"must be a non-empty subset of {', '.join(ENSEMBLE_ORDER)}",
     )
 
     _require(merged["budget"] is not None, "budget", "is required")
-    for key, lo in (("batch", 1), ("budget", 1), ("n_init", 2), ("repeats", 1), ("seed", 0),
-                    ("demo_population", 4), ("demo_evaluations", 4), ("gp_restarts", 1)):
-        merged[key] = int(merged[key])
-        _require(merged[key] >= lo, key, f"must be at least {lo}")
-    for key in ("xi", "nu", "delta", "rho", "timeout"):
-        merged[key] = float(merged[key])
-    _require(merged["xi"] >= 0, "xi", "must be non-negative")
     _require(merged["nu"] > 0, "nu", "must be positive")
     _require(0 < merged["delta"] < 1, "delta", "must lie in (0, 1)")
-    _require(merged["rho"] >= 0, "rho", "must be non-negative")
     _require(merged["timeout"] > 0, "timeout", "must be positive")
     _require(merged["budget"] >= merged["n_init"], "budget",
              "must cover at least the initial design")
     _require(merged["demo_evaluations"] >= merged["demo_population"], "demo_evaluations",
              "must be at least demo_population")
-    if merged["max_parallel"] is not None:
-        merged["max_parallel"] = int(merged["max_parallel"])
-        _require(merged["max_parallel"] >= 1, "max_parallel", "must be positive")
-    _require(merged["init_design"] in ("lhs", "uniform"), "init_design",
-             "must be lhs or uniform")
-    merged["out_dir"] = str(merged["out_dir"])
-    merged["problem"] = problem_name
     return ExperimentSpec(**merged)
 
 
@@ -248,7 +243,7 @@ def resolve_problem(spec: ExperimentSpec) -> Problem:
 
 
 def external_evaluate(command, points, n_constraints: int = 0,
-                      timeout: float = 300.0, max_parallel: Optional[int] = None):
+                      timeout: float = ExperimentSpec.timeout, max_parallel: Optional[int] = None):
     """Evaluate a batch of points through a child process.
 
     Requests are written as JSON lines, at most ``max_parallel`` outstanding at
@@ -380,24 +375,17 @@ class ExternalEvaluator:
 
 
 def spec_to_runconfig(spec: ExperimentSpec, seed: int) -> RunConfig:
+    """The engine config of one run: keys named alike carry over, the rest translate."""
+    spec_keys = {f.name for f in fields(ExperimentSpec)}
+    shared = {f.name: getattr(spec, f.name) for f in fields(RunConfig)
+              if f.name in spec_keys and f.name != "seed"}
     return RunConfig(
         n_iter=spec.n_iter,
         batch_size=spec.batch,
-        n_init=spec.n_init,
-        xi=spec.xi,
-        nu=spec.nu,
-        delta=spec.delta,
-        rho=spec.rho,
-        demo=DemoConfig(
-            population_size=spec.demo_population,
-            max_evaluations=spec.demo_evaluations,
-        ),
+        demo=DemoConfig(population_size=spec.demo_population, max_evaluations=spec.demo_evaluations),
         seed=seed,
-        mode=spec.mode,
-        ensemble=tuple(spec.ensemble),
-        init_design=spec.init_design,
-        gp_restarts=spec.gp_restarts,
         one_stage=spec.algorithm == "omace",
+        **shared,
     )
 
 
@@ -526,40 +514,19 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a repeated-seed optimization campaign")
     run_p.add_argument("--config", default=None, help="JSON config file; flags override it")
-    run_p.add_argument("--problem", default=None,
-                       help="builtin problem name, or 'cmd:<shell command>' for an external evaluator")
-    run_p.add_argument("--mode", choices=["unconstrained", "constrained"], default=None)
-    run_p.add_argument("--batch", type=int, default=None, help="points proposed per iteration")
-    run_p.add_argument("--budget", type=int, default=None, help="total evaluations incl. initial design")
-    run_p.add_argument("--repeats", type=int, default=None)
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--algo", dest="algorithm", choices=list(ALGORITHMS), default=None)
-    run_p.add_argument("--ensemble", default=None, help="comma list from pi,ei,lcb")
-    run_p.add_argument("--out", dest="out_dir", default=None)
-    run_p.add_argument("--max-parallel", dest="max_parallel", type=int, default=None,
-                       help="cap on in-flight external evaluations per batch")
-    run_p.add_argument("--n-init", dest="n_init", type=int, default=None)
-    run_p.add_argument("--dim", type=int, default=None, help="dimension of a cmd: problem")
-    run_p.add_argument("--nc", dest="n_constraints", type=int, default=None,
-                       help="constraint count of a cmd: problem")
-    run_p.add_argument("--timeout", type=float, default=None,
-                       help="per-point external evaluation timeout in seconds")
-    run_p.add_argument("--init-design", dest="init_design", choices=["lhs", "uniform"], default=None)
-    run_p.add_argument("--gp-restarts", dest="gp_restarts", type=int, default=None)
-    run_p.add_argument("--rho", type=float, default=None)
-    run_p.add_argument("--xi", type=float, default=None)
+    for f in fields(ExperimentSpec):
+        if f.name == "bounds":
+            continue  # a pair per dimension, set in the config file
+        flag = f.metadata.get("flag") or "--" + f.name.replace("_", "-")
+        run_p.add_argument(flag, dest=f.name, default=None,
+                           choices=f.metadata.get("choices"), help=f.metadata.get("help"))
 
     args = parser.parse_args(argv)
-    overrides = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "config") and v is not None
-    }
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         spec = parse_config(args.config, overrides)
     except ConfigError as exc:
-        parser.error(str(exc))
-        return 2
+        parser.error(str(exc))  # exits with status 2
     summary = run_campaign(spec)
     agg = summary["final_best"]
     print(f"wrote {spec.out_dir}/summary.json")

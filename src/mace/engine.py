@@ -1,10 +1,11 @@
-"""Outer optimization loops.
+"""The optimization loop and its proposers.
 
-Each iteration fits GP surrogates, minimizes a vector of acquisition
-objectives with differential evolution, and samples a batch of query points
-from the resulting Pareto set.  Constrained runs work in two stages: hunt for
-a first feasible point, then optimize under a feasibility-aware ensemble with
-candidate pruning.
+One loop evaluates the initial design, then a proposed batch per iteration.  The
+MACE proposer fits GP surrogates, minimizes a vector of acquisition objectives
+with differential evolution, and samples the batch from the Pareto set; under
+constraints it first hunts for a feasible point, then optimizes a
+feasibility-aware ensemble with candidate pruning.  The random proposer draws
+uniform points.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .gp import Dataset, GpModel, fit_gp, predict
 from .problems import Problem, evaluate
 
 ENSEMBLE_ORDER = ("lcb", "pi", "ei")
+MODES = ("unconstrained", "constrained")
+INIT_DESIGNS = ("lhs", "uniform")
 
 # An evaluator maps a (B, d) block of unit-cube points to (y, C) arrays of
 # shape (B,) and (B, n_constraints); faults are reported as NaN entries.
@@ -49,9 +52,9 @@ class RunConfig:
     n_iter: int
     batch_size: int
     n_init: int = 20
-    xi: float = 0.001
-    nu: float = 0.5
-    delta: float = 0.05
+    xi: float = AcqContext.xi
+    nu: float = AcqContext.nu
+    delta: float = AcqContext.delta
     rho: float = 0.05
     demo: DemoConfig = field(default_factory=DemoConfig)
     seed: int = 0
@@ -71,9 +74,9 @@ class RunConfig:
             raise ValueError("n_iter must be non-negative")
         if self.rho < 0:
             raise ValueError("rho must be non-negative")
-        if self.mode not in ("unconstrained", "constrained"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
-        if self.init_design not in ("lhs", "uniform"):
+        if self.init_design not in INIT_DESIGNS:
             raise ValueError(f"unknown init_design: {self.init_design!r}")
 
     @property
@@ -418,54 +421,96 @@ class _Recorder:
                     self._incumbent = cand
             self.record.incumbent_trace.append(self._incumbent)
 
-    def ok_dataset(self) -> Dataset:
+    def ok_dataset(self, n_c: int) -> Dataset:
+        """The usable observations with their first ``n_c`` constraint values."""
         rows = [r for r in self.record.evaluations if not r.faulted]
         if len(rows) < 2:
             raise EvaluatorFaultError("fewer than two usable observations; cannot fit surrogates")
         X = np.vstack([r.x for r in rows])
         y = np.array([r.y for r in rows])
-        C = (
-            np.vstack([r.c for r in rows])
-            if self.problem.n_constraints
-            else np.zeros((len(rows), 0))
-        )
+        C = np.vstack([r.c[:n_c] for r in rows])
         return Dataset(X, y, C, self.problem.bounds)
 
 
-def _timed_eval(evaluator: Evaluator, X: np.ndarray):
-    start = time.perf_counter()
-    y, C = evaluator(X)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return np.asarray(y, dtype=float), np.atleast_2d(np.asarray(C, dtype=float)), wall_ms
+def _run(problem: Problem, config: RunConfig, evaluator: Optional[Evaluator], algorithm: str,
+         propose) -> RunRecord:
+    """The loop every runner shares: the initial design, then one batch per iteration.
+
+    ``propose(rec, t, rng)`` returns iteration ``t``'s ``(points, provenance,
+    IterationRecord or None)``; ``rng`` is the run's only generator.
+    """
+    evaluator = evaluator or make_evaluator(problem)
+    rng = np.random.default_rng(config.seed)
+    rec = _Recorder(problem, config, algorithm)
+    initial = (_initial_design(config, problem.dim, rng), ["init"] * config.n_init, None)
+    for t in range(config.n_iter + 1):
+        points, provenance, info = propose(rec, t, rng) if t else initial
+        start = time.perf_counter()
+        y, C = evaluator(points)
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        rec.add_batch(t, points, np.asarray(y, dtype=float), np.atleast_2d(np.asarray(C, dtype=float)),
+                      provenance, wall_ms)
+        if info is not None:
+            rec.record.iterations.append(info)
+    return rec.record
+
+
+def _mace_proposer(problem: Problem, config: RunConfig, n_c: int):
+    """MACE proposals over the problem's first ``n_c`` constraints.
+
+    ``n_c = 0`` is the unconstrained run: no warm start and no pruning.  With
+    constraints, stage 1 (skipped when ``config.one_stage``) hunts for a
+    feasible point, then stage 2 samples the pruned front.
+    """
+
+    def propose(rec: _Recorder, t: int, rng: np.random.Generator):
+        obj_seed = int(rng.integers(2**31 - 1))
+        con_seeds = [int(rng.integers(2**31 - 1)) for _ in range(n_c)]
+        demo_seed = int(rng.integers(2**31 - 1))
+        ds = rec.ok_dataset(n_c)
+        feasible_any = stage_of(ds) is Phase.OPTIMIZING
+        objective_model = fit_gp(ds, restarts=config.gp_restarts, seed=obj_seed)
+        constraint_models = [
+            fit_gp(Dataset(ds.X, ds.C[:, j], np.zeros((ds.n, 0)), ds.bounds),
+                   restarts=config.gp_restarts, seed=con_seeds[j])
+            for j in range(n_c)
+        ]
+        # With n_c = 0 every usable row counts as feasible, so tau is their minimum y.
+        tau = float(ds.y[ds.feasible_mask()].min()) if feasible_any else float(ds.y.min())
+        ctx = AcqContext(tau=tau, d=problem.dim, t=t, xi=config.xi, nu=config.nu, delta=config.delta)
+        if n_c and not (config.one_stage or feasible_any):
+            stage = "stage1"
+            objective_fn = build_stage1_objectives(constraint_models, ds)
+        elif n_c:
+            stage = "stage2"
+            objective_fn = build_stage2_objectives(
+                objective_model, constraint_models, ctx, ds,
+                ensemble=config.ensemble, require_feasible=not config.one_stage,
+            )
+        else:
+            stage = "unconstrained"
+            objective_fn = build_unconstrained_objectives(objective_model, ctx, config.ensemble)
+        warm = _warm_start(ds, config.demo.population_size // 2) if n_c else None
+        pareto = demo_optimize(objective_fn, problem.dim, replace(config.demo, seed=demo_seed),
+                               initial_points=warm)
+        fallback = False
+        if stage == "stage2":
+            pareto, fallback = prune_candidates(pareto, constraint_models, config.rho)
+        proposal = sample_batch(pareto, config.batch_size, rng, stage=stage)
+        violations = None
+        if n_c:
+            mu, s = _constraint_posteriors(constraint_models, proposal.points)
+            violations = np.atleast_1d(acq.adaptive_violation(mu, s))
+        info = IterationRecord(t, stage, fallback, proposal.provenance, proposal.objectives, violations)
+        return proposal.points, proposal.provenance, info
+
+    return propose
 
 
 def run_unconstrained(problem: Problem, config: RunConfig, evaluator: Optional[Evaluator] = None,
                       algorithm: str = "mace") -> RunRecord:
     """Batch optimization loop over the acquisition ensemble (no constraints used)."""
-    evaluator = evaluator or make_evaluator(problem)
-    rng = np.random.default_rng(config.seed)
-    rec = _Recorder(problem, config, algorithm)
-
-    X0 = _initial_design(config, problem.dim, rng)
-    y0, C0, wall = _timed_eval(evaluator, X0)
-    rec.add_batch(0, X0, y0, C0, ["init"] * config.n_init, wall)
-
-    for t in range(1, config.n_iter + 1):
-        fit_seed = int(rng.integers(2**31 - 1))
-        demo_seed = int(rng.integers(2**31 - 1))
-        ds = rec.ok_dataset()
-        model = fit_gp(ds, restarts=config.gp_restarts, seed=fit_seed)
-        ctx = AcqContext(tau=float(ds.y.min()), d=problem.dim, t=t,
-                         xi=config.xi, nu=config.nu, delta=config.delta)
-        objective_fn = build_unconstrained_objectives(model, ctx, config.ensemble)
-        pareto = demo_optimize(objective_fn, problem.dim, replace(config.demo, seed=demo_seed))
-        proposal = sample_batch(pareto, config.batch_size, rng, stage="unconstrained")
-        y, C, wall = _timed_eval(evaluator, proposal.points)
-        rec.add_batch(t, proposal.points, y, C, proposal.provenance, wall)
-        rec.record.iterations.append(
-            IterationRecord(t, "unconstrained", False, proposal.provenance, proposal.objectives, None)
-        )
-    return rec.record
+    return _run(problem, config, evaluator, algorithm, _mace_proposer(problem, config, 0))
 
 
 def run_constrained(problem: Problem, config: RunConfig, evaluator: Optional[Evaluator] = None,
@@ -475,82 +520,15 @@ def run_constrained(problem: Problem, config: RunConfig, evaluator: Optional[Eva
         raise DimensionMismatchError("constrained runs need at least one constraint")
     if algorithm is None:
         algorithm = "omace" if config.one_stage else "mace"
-    evaluator = evaluator or make_evaluator(problem)
-    rng = np.random.default_rng(config.seed)
-    rec = _Recorder(problem, config, algorithm)
-
-    X0 = _initial_design(config, problem.dim, rng)
-    y0, C0, wall = _timed_eval(evaluator, X0)
-    rec.add_batch(0, X0, y0, C0, ["init"] * config.n_init, wall)
-
-    for t in range(1, config.n_iter + 1):
-        obj_seed = int(rng.integers(2**31 - 1))
-        con_seeds = [int(rng.integers(2**31 - 1)) for _ in range(problem.n_constraints)]
-        demo_seed = int(rng.integers(2**31 - 1))
-        ds = rec.ok_dataset()
-        phase = stage_of(ds)
-        feasible_any = phase is Phase.OPTIMIZING
-
-        objective_model = fit_gp(ds, restarts=config.gp_restarts, seed=obj_seed)
-        constraint_models = [
-            fit_gp(Dataset(ds.X, ds.C[:, j], np.zeros((ds.n, 0)), ds.bounds),
-                   restarts=config.gp_restarts, seed=con_seeds[j])
-            for j in range(problem.n_constraints)
-        ]
-
-        if config.one_stage or feasible_any:
-            if feasible_any:
-                tau = float(ds.y[ds.feasible_mask()].min())
-            else:
-                tau = float(ds.y.min())
-            ctx = AcqContext(tau=tau, d=problem.dim, t=t,
-                             xi=config.xi, nu=config.nu, delta=config.delta)
-            objective_fn = build_stage2_objectives(
-                objective_model, constraint_models, ctx, ds,
-                ensemble=config.ensemble, require_feasible=not config.one_stage,
-            )
-            pareto = demo_optimize(
-                objective_fn, problem.dim, replace(config.demo, seed=demo_seed),
-                initial_points=_warm_start(ds, config.demo.population_size // 2),
-            )
-            pruned, fallback = prune_candidates(pareto, constraint_models, config.rho)
-            proposal = sample_batch(pruned, config.batch_size, rng, stage="stage2")
-            stage = "stage2"
-        else:
-            objective_fn = build_stage1_objectives(constraint_models, ds)
-            pareto = demo_optimize(
-                objective_fn, problem.dim, replace(config.demo, seed=demo_seed),
-                initial_points=_warm_start(ds, config.demo.population_size // 2),
-            )
-            proposal = sample_batch(pareto, config.batch_size, rng, stage="stage1")
-            fallback = False
-            stage = "stage1"
-
-        mu, s = _constraint_posteriors(constraint_models, proposal.points)
-        proposal_viol = acq.adaptive_violation(mu, s)
-
-        y, C, wall = _timed_eval(evaluator, proposal.points)
-        rec.add_batch(t, proposal.points, y, C, proposal.provenance, wall)
-        rec.record.iterations.append(
-            IterationRecord(t, stage, fallback, proposal.provenance, proposal.objectives,
-                            np.atleast_1d(proposal_viol))
-        )
-    return rec.record
+    return _run(problem, config, evaluator, algorithm,
+                _mace_proposer(problem, config, problem.n_constraints))
 
 
 def run_random(problem: Problem, config: RunConfig, evaluator: Optional[Evaluator] = None,
                algorithm: str = "random") -> RunRecord:
     """Uniform random search with the same budget and record shape as the engine."""
-    evaluator = evaluator or make_evaluator(problem)
-    rng = np.random.default_rng(config.seed)
-    rec = _Recorder(problem, config, algorithm)
 
-    X0 = _initial_design(config, problem.dim, rng)
-    y0, C0, wall = _timed_eval(evaluator, X0)
-    rec.add_batch(0, X0, y0, C0, ["init"] * config.n_init, wall)
+    def propose(rec, t, rng):
+        return rng.random((config.batch_size, problem.dim)), ["random"] * config.batch_size, None
 
-    for t in range(1, config.n_iter + 1):
-        X = rng.random((config.batch_size, problem.dim))
-        y, C, wall = _timed_eval(evaluator, X)
-        rec.add_batch(t, X, y, C, ["random"] * config.batch_size, wall)
-    return rec.record
+    return _run(problem, config, evaluator, algorithm, propose)

@@ -89,6 +89,8 @@ def evaluate(problem: Problem, x_unit) -> tuple[float, np.ndarray]:
     if not np.isfinite(y):
         raise EvaluatorFaultError(f"{problem.name}: objective returned {y!r}")
     c = np.array([float(g(x)) for g in problem.constraints])
+    if not np.all(np.isfinite(c)):
+        raise EvaluatorFaultError(f"{problem.name}: constraints returned {c!r}")
     return y, c
 
 

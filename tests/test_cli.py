@@ -3,11 +3,13 @@
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mace import cli
 from mace.cli import (
     ExperimentSpec,
     external_evaluate,
@@ -133,6 +135,23 @@ class TestParseConfig:
     def test_budget_must_cover_init(self):
         with pytest.raises(ConfigError, match="budget"):
             parse_config(None, {"problem": "branin", "budget": 10, "n_init": 20})
+
+    @pytest.mark.parametrize("key, value", [
+        ("budget", "abc"), ("xi", "x"), ("max_parallel", "q"), ("ensemble", 5), ("batch", 2.9),
+        ("seed", True), ("bounds", [[0.0, "x"], [0.0, 1.0]]), ("bounds", [[1.0, 0.0], [0.0, 1.0]]),
+    ])
+    def test_malformed_value_names_key(self, key, value, tmp_path):
+        config = {"problem": "cmd:true", "dim": 2, "budget": 30, key: value}
+        with pytest.raises(ConfigError, match=key):
+            parse_config(config)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(path)])
+        assert exit_info.value.code == 2
+
+    def test_integral_float_accepted_for_integer_key(self):
+        assert parse_config(None, {"problem": "branin", "budget": 30.0, "batch": "3"}).batch == 3
 
 
 class TestExternalEvaluate:
@@ -273,6 +292,60 @@ class TestCampaign:
             if algo == "sequential-ei":
                 assert rec.config.batch_size == 1
                 assert rec.config.ensemble == ("ei",)
+
+
+BASE = {"problem": "ring-constrained-2d", "budget": 30}
+EXTERNAL = {"problem": "cmd:true", "dim": 2, "budget": 30}
+
+# One case per spec key but bounds: (key, flag as the README spells it, flag text, JSON value, base).
+SURFACE = [
+    ("problem", "--problem", "constrained-branin", "constrained-branin", BASE),
+    ("algorithm", "--algo", "omace", "omace", BASE),
+    ("mode", "--mode", "unconstrained", "unconstrained", BASE),
+    ("batch", "--batch", "3", 3, BASE),
+    ("budget", "--budget", "40", 40, BASE),
+    ("n_init", "--n-init", "10", 10, BASE),
+    ("repeats", "--repeats", "2", 2, BASE),
+    ("seed", "--seed", "7", 7, BASE),
+    ("ensemble", "--ensemble", "ei,lcb", ["ei", "lcb"], BASE),
+    ("out_dir", "--out", "elsewhere", "elsewhere", BASE),
+    ("max_parallel", "--max-parallel", "2", 2, BASE),
+    ("xi", "--xi", "0.01", 0.01, BASE),
+    ("nu", "--nu", "0.25", 0.25, BASE),
+    ("delta", "--delta", "0.1", 0.1, BASE),
+    ("rho", "--rho", "0.1", 0.1, BASE),
+    ("demo_population", "--demo-population", "20", 20, BASE),
+    ("demo_evaluations", "--demo-evaluations", "4000", 4000, BASE),
+    ("gp_restarts", "--gp-restarts", "3", 3, BASE),
+    ("init_design", "--init-design", "uniform", "uniform", BASE),
+    ("dim", "--dim", "3", 3, EXTERNAL),
+    ("n_constraints", "--nc", "1", 1, EXTERNAL),
+    ("timeout", "--timeout", "12.5", 12.5, EXTERNAL),
+]
+
+
+def test_surface_covers_every_key_but_bounds():
+    assert [case[0] for case in SURFACE] == [f.name for f in fields(ExperimentSpec) if f.name != "bounds"]
+
+
+@pytest.mark.parametrize("key, flag, text, value, base", SURFACE, ids=[case[0] for case in SURFACE])
+def test_flag_resolves_like_config_key(key, flag, text, value, base, tmp_path, monkeypatch):
+    specs = []
+    monkeypatch.setattr(cli, "run_campaign",
+                        lambda spec: specs.append(spec) or {"final_best": None, "success_count": 0})
+    base_path, key_path = tmp_path / "base.json", tmp_path / "key.json"
+    base_path.write_text(json.dumps(base))
+    key_path.write_text(json.dumps(dict(base, **{key: value})))
+    assert main(["run", "--config", str(base_path), flag, text]) == 0
+    from_file = parse_config(key_path)
+    assert specs == [from_file]
+    assert getattr(from_file, key) != getattr(parse_config(base), key)
+
+
+def test_bounds_has_no_flag():
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--problem", "cmd:true", "--dim", "1", "--budget", "30", "--bounds", "[[0, 1]]"])
+    assert exit_info.value.code == 2
 
 
 class TestMain:

@@ -503,6 +503,59 @@ class TestRunConstrained:
         assert all(a >= b for a, b in zip(keys, keys[1:]))
 
 
+    def test_non_finite_constraint_faults_the_point(self):
+        def constraint(x):
+            return float("nan") if x[0] < 0.3 else x[1] - 0.5
+
+        problem = Problem("nan-constraint", 2, np.zeros(2), np.ones(2),
+                          objective=lambda x: float(x @ x), constraints=(constraint,))
+        y, C = make_evaluator(problem)(np.array([[0.1, 0.2], [0.6, 0.2]]))
+        assert np.isnan(y[0]) and np.isnan(C[0, 0])
+        assert y[1] == pytest.approx(0.4) and C[1, 0] == pytest.approx(-0.3)
+        cfg = RunConfig(n_iter=2, batch_size=3, n_init=8, seed=0, mode="constrained", demo=SMALL_DEMO)
+        rec = run_constrained(problem, cfg)
+        assert any(r.faulted for r in rec.evaluations)
+        for r in rec.evaluations:
+            assert r.faulted == bool(r.x[0] < 0.3)
+            assert np.isnan(r.y) == r.faulted
+
+
+class TestFaultInjection:
+    """A seeded 20% of all points fault, initial design included, under every runner."""
+
+    @pytest.mark.parametrize("runner, problem_name, extra", [
+        (run_unconstrained, "branin", {}),
+        (run_constrained, "ring-constrained-2d", {"mode": "constrained"}),
+        (run_constrained, "ring-constrained-2d", {"mode": "constrained", "one_stage": True}),
+        (run_random, "ring-constrained-2d", {"mode": "constrained"}),
+    ], ids=["unconstrained-branin", "mace-ring", "omace-ring", "random-ring"])
+    def test_faults_recorded_and_never_incumbent(self, runner, problem_name, extra):
+        problem = builtin(problem_name)
+        base = make_evaluator(problem)
+        inject = np.random.default_rng(17)
+        injected = []
+
+        def flaky(X):
+            y, C = base(X)
+            hit = inject.random(len(y)) < 0.2
+            y[hit] = np.nan
+            C[hit] = np.nan
+            injected.extend(hit.tolist())
+            return y, C
+
+        cfg = RunConfig(n_iter=5, batch_size=4, n_init=10, seed=3, gp_restarts=2, demo=SMALL_DEMO, **extra)
+        rec = runner(problem, cfg, evaluator=flaky)
+        assert len(rec.evaluations) == cfg.total_evaluations
+        assert any(injected) and not all(injected)
+        assert [r.faulted for r in rec.evaluations] == injected
+        assert all(inc is None or not rec.evaluations[inc.eval_index].faulted
+                   for inc in rec.incumbent_trace)
+        started = [inc is not None for inc in rec.incumbent_trace]
+        assert started == sorted(started)
+        keys = [inc.order_key() for inc in rec.incumbent_trace if inc is not None]
+        assert all(a >= b for a, b in zip(keys, keys[1:]))
+
+
 class TestRunRandom:
     def test_budget_and_determinism(self):
         problem = builtin("sphere10")
