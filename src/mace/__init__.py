@@ -17,7 +17,6 @@ from .demo import DemoConfig, ParetoSet, demo_optimize, dominates, pareto_front
 from .engine import (
     BatchProposal,
     Incumbent,
-    Phase,
     RunConfig,
     RunRecord,
     build_stage1_objectives,
@@ -29,7 +28,6 @@ from .engine import (
     run_random,
     run_unconstrained,
     sample_batch,
-    stage_of,
 )
 from .gp import Dataset, GpModel, KernelHyperParams, build_gp, fit_gp, kernel_se, log_marginal_likelihood, predict
 from .problems import FomSpec, Problem, builtin, evaluate, fom_weighted_sum
@@ -46,7 +44,6 @@ __all__ = [
     "Incumbent",
     "KernelHyperParams",
     "ParetoSet",
-    "Phase",
     "Problem",
     "RunConfig",
     "RunRecord",
@@ -77,7 +74,6 @@ __all__ = [
     "run_random",
     "run_unconstrained",
     "sample_batch",
-    "stage_of",
     "std_normal_cdf",
     "std_normal_pdf",
 ]

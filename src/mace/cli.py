@@ -29,6 +29,7 @@ from .engine import (
     MODES,
     RunConfig,
     RunRecord,
+    _canonical_ensemble,
     make_evaluator,
     run_constrained,
     run_random,
@@ -200,11 +201,12 @@ def parse_config(config_path=None, overrides: Optional[dict] = None) -> Experime
     if merged["repeats"] is None:
         merged["repeats"] = 12 if merged["mode"] == "constrained" else 20
 
+    try:
+        _canonical_ensemble(merged["ensemble"])
+    except ValueError as exc:
+        raise ConfigError(f"ensemble: {exc}") from None
+    # The spec keeps its own order, which is what summaries record.
     merged["ensemble"] = [str(e).lower() for e in merged["ensemble"]]
-    _require(
-        len(merged["ensemble"]) >= 1 and set(merged["ensemble"]) <= set(ENSEMBLE_ORDER),
-        "ensemble", f"must be a non-empty subset of {', '.join(ENSEMBLE_ORDER)}",
-    )
 
     _require(merged["budget"] is not None, "budget", "is required")
     _require(merged["nu"] > 0, "nu", "must be positive")

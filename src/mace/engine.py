@@ -4,15 +4,15 @@ One loop evaluates the initial design, then a proposed batch per iteration.  The
 MACE proposer fits GP surrogates, minimizes a vector of acquisition objectives
 with differential evolution, and samples the batch from the Pareto set; under
 constraints it first hunts for a feasible point, then optimizes a
-feasibility-aware ensemble with candidate pruning.  The random proposer draws
-uniform points.
+feasibility-aware ensemble with candidate pruning.  Stage 1 reads only the
+constraint models, so it fits only those; the objective model is fitted from
+stage 2 on.  The random proposer draws uniform points.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,18 +31,6 @@ INIT_DESIGNS = ("lhs", "uniform")
 # An evaluator maps a (B, d) block of unit-cube points to (y, C) arrays of
 # shape (B,) and (B, n_constraints); faults are reported as NaN entries.
 Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
-class Phase(Enum):
-    """Constrained-run stage, derived from the data: once any observation is
-    feasible the run optimizes; it never reverts to seeking."""
-
-    SEEKING = "stage1"
-    OPTIMIZING = "stage2"
-
-
-def stage_of(dataset: Dataset) -> Phase:
-    return Phase.OPTIMIZING if bool(np.any(dataset.feasible_mask())) else Phase.SEEKING
 
 
 @dataclass(frozen=True)
@@ -66,6 +54,8 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ensemble", _canonical_ensemble(self.ensemble))
+        # AcqContext owns the xi/nu/delta rules; check them before any point is evaluated.
+        AcqContext(tau=0.0, d=1, xi=self.xi, nu=self.nu, delta=self.delta)
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.n_init < 2:
@@ -94,7 +84,6 @@ class BatchProposal:
 
     points: np.ndarray
     provenance: tuple
-    stage: str
     objectives: np.ndarray
 
 
@@ -178,6 +167,31 @@ class RunRecord:
     def evals_to_best(self) -> Optional[int]:
         inc = self.final_incumbent
         return None if inc is None else inc.eval_index + 1
+
+    def add_batch(self, iteration: int, X: np.ndarray, y: np.ndarray, C: np.ndarray, provenance, wall_ms: float):
+        """Append one evaluated batch and extend the incumbent trace point by point."""
+        incumbent = self.final_incumbent
+        for i in range(X.shape[0]):
+            idx = len(self.evaluations)
+            ci = np.asarray(C[i], dtype=float)
+            ok = bool(np.isfinite(y[i])) and bool(np.all(np.isfinite(ci)))
+            feasible = ok and bool(np.all(ci < 0))
+            self.evaluations.append(EvalRecord(iteration, idx, X[i].copy(), float(y[i]), ci.copy(), feasible,
+                                               provenance[i], wall_ms))
+            if ok:
+                cand = Incumbent(point=X[i].copy(), value=float(y[i]), feasible=feasible,
+                                 total_violation=float(np.sum(np.maximum(ci, 0.0))), eval_index=idx)
+                if cand.improves_on(incumbent):
+                    incumbent = cand
+            self.incumbent_trace.append(incumbent)
+
+    def dataset(self, bounds, n_c: int) -> Dataset:
+        """The usable observations with their first ``n_c`` constraint values."""
+        rows = [r for r in self.evaluations if not r.faulted]
+        if len(rows) < 2:
+            raise EvaluatorFaultError("fewer than two usable observations; cannot fit surrogates")
+        return Dataset(np.vstack([r.x for r in rows]), [r.y for r in rows],
+                       np.vstack([r.c[:n_c] for r in rows]), bounds)
 
     def signature(self) -> tuple:
         """Deterministic content of the record, excluding wall-clock times."""
@@ -329,7 +343,7 @@ def _dedup_indices(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return first
 
 
-def sample_batch(pareto: ParetoSet, batch_size: int, rng: np.random.Generator, stage: str) -> BatchProposal:
+def sample_batch(pareto: ParetoSet, batch_size: int, rng: np.random.Generator) -> BatchProposal:
     """Draw batch_size points uniformly without replacement from the Pareto set.
 
     Near-duplicate members are counted once; any deficit is filled with
@@ -343,13 +357,10 @@ def sample_batch(pareto: ParetoSet, batch_size: int, rng: np.random.Generator, s
     provenance = ["pareto-sample"] * take
     deficit = batch_size - take
     if deficit > 0:
-        d = pareto.points.shape[1]
-        points = np.vstack([points, rng.random((deficit, d))])
-        objectives = np.vstack(
-            [objectives, np.full((deficit, pareto.objectives.shape[1]), np.nan)]
-        )
+        points = np.vstack([points, rng.random((deficit, pareto.points.shape[1]))])
+        objectives = np.vstack([objectives, np.full((deficit, pareto.objectives.shape[1]), np.nan)])
         provenance += ["fallback-random"] * deficit
-    return BatchProposal(points, tuple(provenance), stage, objectives)
+    return BatchProposal(points, tuple(provenance), objectives)
 
 
 def _initial_design(config: RunConfig, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -386,52 +397,6 @@ def _warm_start(dataset: Dataset, cap: int) -> np.ndarray:
     return dataset.X[order[:cap]]
 
 
-class _Recorder:
-    """Accumulates evaluation rows and maintains the incumbent trace."""
-
-    def __init__(self, problem: Problem, config: RunConfig, algorithm: str):
-        self.problem = problem
-        self.record = RunRecord(
-            problem_name=problem.name,
-            algorithm=algorithm,
-            dim=problem.dim,
-            n_constraints=problem.n_constraints,
-            config=config,
-        )
-        self._incumbent: Optional[Incumbent] = None
-
-    def add_batch(self, iteration: int, X: np.ndarray, y: np.ndarray, C: np.ndarray, provenance, wall_ms: float):
-        for i in range(X.shape[0]):
-            idx = len(self.record.evaluations)
-            ci = np.asarray(C[i], dtype=float)
-            ok = bool(np.isfinite(y[i])) and bool(np.all(np.isfinite(ci)))
-            feasible = ok and bool(np.all(ci < 0))
-            self.record.evaluations.append(
-                EvalRecord(iteration, idx, X[i].copy(), float(y[i]), ci.copy(), feasible, provenance[i], wall_ms)
-            )
-            if ok:
-                cand = Incumbent(
-                    point=X[i].copy(),
-                    value=float(y[i]),
-                    feasible=feasible,
-                    total_violation=float(np.sum(np.maximum(ci, 0.0))),
-                    eval_index=idx,
-                )
-                if cand.improves_on(self._incumbent):
-                    self._incumbent = cand
-            self.record.incumbent_trace.append(self._incumbent)
-
-    def ok_dataset(self, n_c: int) -> Dataset:
-        """The usable observations with their first ``n_c`` constraint values."""
-        rows = [r for r in self.record.evaluations if not r.faulted]
-        if len(rows) < 2:
-            raise EvaluatorFaultError("fewer than two usable observations; cannot fit surrogates")
-        X = np.vstack([r.x for r in rows])
-        y = np.array([r.y for r in rows])
-        C = np.vstack([r.c[:n_c] for r in rows])
-        return Dataset(X, y, C, self.problem.bounds)
-
-
 def _run(problem: Problem, config: RunConfig, evaluator: Optional[Evaluator], algorithm: str,
          propose) -> RunRecord:
     """The loop every runner shares: the initial design, then one batch per iteration.
@@ -441,7 +406,7 @@ def _run(problem: Problem, config: RunConfig, evaluator: Optional[Evaluator], al
     """
     evaluator = evaluator or make_evaluator(problem)
     rng = np.random.default_rng(config.seed)
-    rec = _Recorder(problem, config, algorithm)
+    rec = RunRecord(problem.name, algorithm, problem.dim, problem.n_constraints, config)
     initial = (_initial_design(config, problem.dim, rng), ["init"] * config.n_init, None)
     for t in range(config.n_iter + 1):
         points, provenance, info = propose(rec, t, rng) if t else initial
@@ -451,8 +416,8 @@ def _run(problem: Problem, config: RunConfig, evaluator: Optional[Evaluator], al
         rec.add_batch(t, points, np.asarray(y, dtype=float), np.atleast_2d(np.asarray(C, dtype=float)),
                       provenance, wall_ms)
         if info is not None:
-            rec.record.iterations.append(info)
-    return rec.record
+            rec.iterations.append(info)
+    return rec
 
 
 def _mace_proposer(problem: Problem, config: RunConfig, n_c: int):
@@ -463,40 +428,40 @@ def _mace_proposer(problem: Problem, config: RunConfig, n_c: int):
     feasible point, then stage 2 samples the pruned front.
     """
 
-    def propose(rec: _Recorder, t: int, rng: np.random.Generator):
+    def propose(rec: RunRecord, t: int, rng: np.random.Generator):
+        # Drawn in stage 1 too, so the rng stream does not depend on the stage.
         obj_seed = int(rng.integers(2**31 - 1))
         con_seeds = [int(rng.integers(2**31 - 1)) for _ in range(n_c)]
         demo_seed = int(rng.integers(2**31 - 1))
-        ds = rec.ok_dataset(n_c)
-        feasible_any = stage_of(ds) is Phase.OPTIMIZING
-        objective_model = fit_gp(ds, restarts=config.gp_restarts, seed=obj_seed)
+        ds = rec.dataset(problem.bounds, n_c)
+        # With n_c = 0 every usable row counts as feasible.
+        feasible = ds.feasible_mask()
+        stage = "unconstrained"
+        if n_c:
+            stage = "stage2" if config.one_stage or feasible.any() else "stage1"
         constraint_models = [
             fit_gp(Dataset(ds.X, ds.C[:, j], np.zeros((ds.n, 0)), ds.bounds),
                    restarts=config.gp_restarts, seed=con_seeds[j])
             for j in range(n_c)
         ]
-        # With n_c = 0 every usable row counts as feasible, so tau is their minimum y.
-        tau = float(ds.y[ds.feasible_mask()].min()) if feasible_any else float(ds.y.min())
-        ctx = AcqContext(tau=tau, d=problem.dim, t=t, xi=config.xi, nu=config.nu, delta=config.delta)
-        if n_c and not (config.one_stage or feasible_any):
-            stage = "stage1"
+        if stage == "stage1":
             objective_fn = build_stage1_objectives(constraint_models, ds)
-        elif n_c:
-            stage = "stage2"
-            objective_fn = build_stage2_objectives(
-                objective_model, constraint_models, ctx, ds,
-                ensemble=config.ensemble, require_feasible=not config.one_stage,
-            )
         else:
-            stage = "unconstrained"
-            objective_fn = build_unconstrained_objectives(objective_model, ctx, config.ensemble)
+            objective_model = fit_gp(ds, restarts=config.gp_restarts, seed=obj_seed)
+            tau = float(ds.y[feasible].min()) if feasible.any() else float(ds.y.min())
+            ctx = AcqContext(tau=tau, d=problem.dim, t=t, xi=config.xi, nu=config.nu, delta=config.delta)
+            if stage == "stage2":
+                objective_fn = build_stage2_objectives(objective_model, constraint_models, ctx, ds,
+                                                       config.ensemble, require_feasible=not config.one_stage)
+            else:
+                objective_fn = build_unconstrained_objectives(objective_model, ctx, config.ensemble)
         warm = _warm_start(ds, config.demo.population_size // 2) if n_c else None
         pareto = demo_optimize(objective_fn, problem.dim, replace(config.demo, seed=demo_seed),
                                initial_points=warm)
         fallback = False
         if stage == "stage2":
             pareto, fallback = prune_candidates(pareto, constraint_models, config.rho)
-        proposal = sample_batch(pareto, config.batch_size, rng, stage=stage)
+        proposal = sample_batch(pareto, config.batch_size, rng)
         violations = None
         if n_c:
             mu, s = _constraint_posteriors(constraint_models, proposal.points)

@@ -100,27 +100,9 @@ class Dataset:
     def dim(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def n_constraints(self) -> int:
-        return self.C.shape[1]
-
     def feasible_mask(self) -> np.ndarray:
         """True where every constraint value is strictly below zero."""
         return np.all(self.C < 0, axis=1)
-
-    def extended(self, X_new, y_new, C_new=None) -> "Dataset":
-        """Return a new dataset with the given observations appended."""
-        X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-        y_new = np.atleast_1d(np.asarray(y_new, dtype=float))
-        if C_new is None:
-            C_new = np.zeros((X_new.shape[0], self.n_constraints))
-        C_new = np.atleast_2d(np.asarray(C_new, dtype=float))
-        return Dataset(
-            np.vstack([self.X, X_new]),
-            np.concatenate([self.y, y_new]),
-            np.vstack([self.C, C_new]),
-            self.bounds,
-        )
 
 
 @dataclass(frozen=True)

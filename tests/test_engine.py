@@ -285,7 +285,7 @@ class TestSampleBatch:
     def test_plenty_of_members(self):
         rng = np.random.default_rng(0)
         ps = ParetoSet(rng.random((50, 3)), rng.random((50, 2)))
-        prop = sample_batch(ps, 5, np.random.default_rng(1), stage="unconstrained")
+        prop = sample_batch(ps, 5, np.random.default_rng(1))
         assert prop.points.shape == (5, 3)
         assert all(p == "pareto-sample" for p in prop.provenance)
         # all members of the source set
@@ -297,7 +297,7 @@ class TestSampleBatch:
     def test_deficit_filled_with_random(self):
         rng = np.random.default_rng(0)
         ps = ParetoSet(rng.random((3, 2)), rng.random((3, 2)))
-        prop = sample_batch(ps, 5, np.random.default_rng(2), stage="stage1")
+        prop = sample_batch(ps, 5, np.random.default_rng(2))
         assert prop.points.shape == (5, 2)
         assert list(prop.provenance).count("pareto-sample") == 3
         assert list(prop.provenance).count("fallback-random") == 2
@@ -307,15 +307,15 @@ class TestSampleBatch:
         base = np.array([[0.5, 0.5]])
         pts = np.vstack([base, base + 1e-12, base + 2e-13])
         ps = ParetoSet(pts, np.zeros((3, 2)))
-        prop = sample_batch(ps, 3, np.random.default_rng(3), stage="unconstrained")
+        prop = sample_batch(ps, 3, np.random.default_rng(3))
         assert list(prop.provenance).count("pareto-sample") == 1
         assert list(prop.provenance).count("fallback-random") == 2
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         ps = ParetoSet(rng.random((20, 2)), rng.random((20, 3)))
-        a = sample_batch(ps, 6, np.random.default_rng(9), stage="stage2")
-        b = sample_batch(ps, 6, np.random.default_rng(9), stage="stage2")
+        a = sample_batch(ps, 6, np.random.default_rng(9))
+        b = sample_batch(ps, 6, np.random.default_rng(9))
         assert np.array_equal(a.points, b.points)
         assert a.provenance == b.provenance
 
@@ -494,6 +494,24 @@ class TestRunConstrained:
         assert rec.algorithm == "omace"
         assert all(it.stage == "stage2" for it in rec.iterations)
 
+    def test_stage1_fits_only_constraint_models(self, monkeypatch):
+        calls = []
+        original = mace.engine.fit_gp
+
+        def counting_fit_gp(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mace.engine, "fit_gp", counting_fit_gp)
+        problem = builtin("ring-constrained-2d")
+        cfg = RunConfig(n_iter=4, batch_size=3, n_init=6, seed=3, gp_restarts=2,
+                        mode="constrained", demo=SMALL_DEMO)
+        rec = run_constrained(problem, cfg)
+        stages = [it.stage for it in rec.iterations]
+        assert "stage1" in stages and "stage2" in stages
+        n_c = problem.n_constraints
+        assert len(calls) == sum(n_c + (s != "stage1") for s in stages)
+
     def test_incumbent_ordering_feasible_first(self):
         problem = builtin("ring-constrained-2d")
         cfg = RunConfig(n_iter=2, batch_size=3, n_init=8, seed=2,
@@ -578,6 +596,12 @@ class TestRunConfig:
             RunConfig(n_iter=1, batch_size=1, ensemble=("ucb",))
         with pytest.raises(ValueError):
             RunConfig(n_iter=1, batch_size=1, rho=-0.1)
+        with pytest.raises(ValueError, match="xi"):
+            RunConfig(n_iter=1, batch_size=1, xi=-1.0)
+        with pytest.raises(ValueError, match="nu"):
+            RunConfig(n_iter=1, batch_size=1, nu=0.0)
+        with pytest.raises(ValueError, match="delta"):
+            RunConfig(n_iter=1, batch_size=1, delta=1.0)
 
     def test_ensemble_canonicalized(self):
         cfg = RunConfig(n_iter=1, batch_size=1, ensemble=("EI", "pi"))
