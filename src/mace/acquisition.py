@@ -37,9 +37,10 @@ class AcqContext:
     delta: float = 0.05
 
     def __post_init__(self):
-        if self.xi < 0:
+        # Written so that NaN fails every check.
+        if not self.xi >= 0:
             raise ValueError("xi must be non-negative")
-        if self.nu <= 0:
+        if not self.nu > 0:
             raise ValueError("nu must be positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")

@@ -22,6 +22,7 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
+from .acquisition import AcqContext
 from .demo import DemoConfig
 from .engine import (
     ENSEMBLE_ORDER,
@@ -67,7 +68,7 @@ class ExperimentSpec:
     ensemble: list = _key(("pi", "ei", "lcb"), f"comma list from {','.join(ENSEMBLE_ORDER)}")
     out_dir: str = _key("mace-results", flag="--out")
     max_parallel: Optional[int] = _key(None, "cap on in-flight external evaluations per batch", low=1)
-    xi: float = _key(RunConfig.xi, low=0)
+    xi: float = RunConfig.xi
     nu: float = RunConfig.nu
     delta: float = RunConfig.delta
     rho: float = _key(RunConfig.rho, low=0)
@@ -205,12 +206,15 @@ def parse_config(config_path=None, overrides: Optional[dict] = None) -> Experime
         _canonical_ensemble(merged["ensemble"])
     except ValueError as exc:
         raise ConfigError(f"ensemble: {exc}") from None
+    for key in ("xi", "nu", "delta"):  # AcqContext owns their rules
+        try:
+            AcqContext(tau=0.0, d=1, **{key: merged[key]})
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     # The spec keeps its own order, which is what summaries record.
     merged["ensemble"] = [str(e).lower() for e in merged["ensemble"]]
 
     _require(merged["budget"] is not None, "budget", "is required")
-    _require(merged["nu"] > 0, "nu", "must be positive")
-    _require(0 < merged["delta"] < 1, "delta", "must lie in (0, 1)")
     _require(merged["timeout"] > 0, "timeout", "must be positive")
     _require(merged["budget"] >= merged["n_init"], "budget",
              "must cover at least the initial design")

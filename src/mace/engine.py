@@ -21,7 +21,7 @@ from . import acquisition as acq
 from .acquisition import AcqContext
 from .demo import DemoConfig, ParetoSet, demo_optimize
 from .errors import DimensionMismatchError, EvaluatorFaultError, StageError
-from .gp import Dataset, GpModel, fit_gp, predict
+from .gp import Dataset, GpModel, _one_blas_thread, fit_gp, predict
 from .problems import Problem, evaluate
 
 ENSEMBLE_ORDER = ("lcb", "pi", "ei")
@@ -402,14 +402,16 @@ def _run(problem: Problem, config: RunConfig, evaluator: Optional[Evaluator], al
     """The loop every runner shares: the initial design, then one batch per iteration.
 
     ``propose(rec, t, rng)`` returns iteration ``t``'s ``(points, provenance,
-    IterationRecord or None)``; ``rng`` is the run's only generator.
+    IterationRecord or None)``; ``rng`` is the run's only generator.  It runs
+    on one BLAS thread; the evaluator runs at the process's own count.
     """
     evaluator = evaluator or make_evaluator(problem)
     rng = np.random.default_rng(config.seed)
     rec = RunRecord(problem.name, algorithm, problem.dim, problem.n_constraints, config)
     initial = (_initial_design(config, problem.dim, rng), ["init"] * config.n_init, None)
     for t in range(config.n_iter + 1):
-        points, provenance, info = propose(rec, t, rng) if t else initial
+        with _one_blas_thread():
+            points, provenance, info = propose(rec, t, rng) if t else initial
         start = time.perf_counter()
         y, C = evaluator(points)
         wall_ms = (time.perf_counter() - start) * 1000.0

@@ -8,7 +8,11 @@ standardized scale.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +36,18 @@ _LOG_NOISE_BOUNDS = (math.log(1e-3), math.log(1.0))
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy ship
+# (64-bit and 32-bit integer interfaces), then of a plain OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_restore: list = []  # (set, previous count) per library, while pinned
 
 
 @dataclass(frozen=True)
@@ -168,6 +184,61 @@ def _chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     raise SingularKernelError(
         f"covariance matrix is not positive definite even with jitter {_JITTERS[-1]:g}"
     )
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS loaded into this process.
+
+    Found once, from the process's memory map; empty where there is none to
+    find (not Linux, or another BLAS such as MKL or Accelerate).
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every loaded OpenBLAS at one thread, then put back the previous counts.
+
+    The matrices a proposal factors are at most a few hundred rows, where a
+    second BLAS thread costs more than it saves and makes results depend on
+    the thread count.  The count is process-wide, so nested and concurrent
+    holders share one pin: the first to enter saves the counts and the last to
+    leave restores them.
+    """
+    global _blas_depth, _blas_restore
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_restore = [(set_, get()) for get, set_ in _openblas_thread_controls()]
+            for set_, _ in _blas_restore:
+                set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for set_, count in _blas_restore:
+                    set_(count)
 
 
 def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:

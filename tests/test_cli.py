@@ -139,7 +139,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("key, value", [
         ("budget", "abc"), ("xi", "x"), ("max_parallel", "q"), ("ensemble", 5), ("batch", 2.9),
         ("seed", True), ("bounds", [[0.0, "x"], [0.0, 1.0]]), ("bounds", [[1.0, 0.0], [0.0, 1.0]]),
-        ("ensemble", ["lcb", "ucb"]), ("ensemble", []),
+        ("ensemble", ["lcb", "ucb"]), ("ensemble", []), ("xi", -1), ("nu", 0), ("delta", 1),
     ])
     def test_malformed_value_names_key(self, key, value, tmp_path):
         config = {"problem": "cmd:true", "dim": 2, "budget": 30, key: value}

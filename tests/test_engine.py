@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,11 +13,13 @@ from scipy.stats import qmc
 
 import mace
 from mace import acquisition as acq
+from mace import gp
 from mace.acquisition import AcqContext
 from mace.demo import DemoConfig, ParetoSet
 from mace.engine import (
     RunConfig,
     _initial_design,
+    _run,
     build_stage1_objectives,
     build_stage2_objectives,
     build_unconstrained_objectives,
@@ -645,3 +648,174 @@ class TestInitialDesign:
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         assert out.stdout.strip() == "False"
+
+
+def blas_counts(controls):
+    return [get() for get, _ in controls]
+
+
+@pytest.fixture
+def blas_at_two():
+    """Every OpenBLAS found set to two threads for the test, then put back."""
+    controls = gp._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS found in this process")
+    before = blas_counts(controls)
+    for _, set_ in controls:
+        set_(2)
+    yield controls
+    for (_, set_), count in zip(controls, before):
+        set_(count)
+
+
+class BlasProbe:
+    """A proposer/evaluator pair for ``_run`` that records the BLAS thread counts each sees."""
+
+    def __init__(self, controls, inside=None):
+        self.controls = controls
+        self.inside = inside or (lambda: None)
+        self.in_propose, self.in_evaluator = [], []
+
+    def propose(self, rec, t, rng):
+        self.in_propose.append(blas_counts(self.controls))
+        self.inside()
+        return rng.random((1, 2)), ["probe"], None
+
+    def evaluator(self, X):
+        self.in_evaluator.append(blas_counts(self.controls))
+        return np.zeros(len(X)), np.zeros((len(X), 0))
+
+    def run(self, n_iter=2):
+        config = RunConfig(n_iter=n_iter, batch_size=1, n_init=2)
+        return _run(builtin("branin"), config, self.evaluator, "probe", self.propose)
+
+
+class TestProposeOnOneBlasThread:
+    def test_propose_pinned_evaluator_at_process_count(self, blas_at_two):
+        probe = BlasProbe(blas_at_two)
+        rec = probe.run(n_iter=3)
+        ones, twos = [1] * len(blas_at_two), [2] * len(blas_at_two)
+        assert len(rec.evaluations) == 5
+        assert probe.in_propose == [ones] * 3
+        assert probe.in_evaluator == [twos] * 4
+        assert blas_counts(blas_at_two) == twos
+        assert gp._blas_depth == 0
+
+    def test_restored_when_propose_raises(self, blas_at_two):
+        def fail():
+            raise RuntimeError("proposer failed")
+
+        with pytest.raises(RuntimeError, match="proposer failed"):
+            BlasProbe(blas_at_two, inside=fail).run()
+        assert blas_counts(blas_at_two) == [2] * len(blas_at_two)
+        assert gp._blas_depth == 0
+
+    def test_nested_run_restores_once(self, blas_at_two):
+        after_inner = []
+
+        def nested():
+            BlasProbe(blas_at_two).run(n_iter=1)
+            after_inner.append(blas_counts(blas_at_two))
+
+        BlasProbe(blas_at_two, inside=nested).run(n_iter=1)
+        assert after_inner == [[1] * len(blas_at_two)]
+        assert blas_counts(blas_at_two) == [2] * len(blas_at_two)
+
+    def test_concurrent_runs_restore_once(self, blas_at_two):
+        both_inside = threading.Barrier(2, timeout=30)
+        first_done = threading.Event()
+        seen_by_second, errors = [], []
+
+        def wait_for_first():
+            both_inside.wait()
+            assert first_done.wait(timeout=30)
+            seen_by_second.append(blas_counts(blas_at_two))
+
+        def run(probe, done=None):
+            try:
+                probe.run(n_iter=1)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+                both_inside.abort()
+            if done is not None:
+                done.set()
+
+        first = BlasProbe(blas_at_two, inside=both_inside.wait)
+        second = BlasProbe(blas_at_two, inside=wait_for_first)
+        threads = [threading.Thread(target=run, args=(first, first_done)),
+                   threading.Thread(target=run, args=(second,))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not errors and not any(th.is_alive() for th in threads)
+        # The first run to leave must not restore the count under the second.
+        assert seen_by_second == [[1] * len(blas_at_two)]
+        assert blas_counts(blas_at_two) == [2] * len(blas_at_two)
+        assert gp._blas_depth == 0
+
+    def test_pin_under_thread_contention(self, blas_at_two):
+        # More threads than cores and a short switch interval, so a lost
+        # update of the shared depth would leave the count pinned or restore
+        # it under a holder.
+        seen, errors = [], []
+
+        def hold():
+            try:
+                for _ in range(2000):
+                    with gp._one_blas_thread():
+                        seen.append(blas_counts(blas_at_two))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hold) for _ in range(2 * (os.cpu_count() or 1) + 2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(th.is_alive() for th in threads)
+        assert len(seen) == 2000 * len(threads)
+        assert all(counts == [1] * len(blas_at_two) for counts in seen)
+        assert blas_counts(blas_at_two) == [2] * len(blas_at_two)
+        assert gp._blas_depth == 0
+
+    def test_runs_when_no_blas_is_found(self, monkeypatch):
+        monkeypatch.setattr(gp, "_openblas_thread_controls", lambda: ())
+        cfg = RunConfig(n_iter=1, batch_size=2, n_init=6, seed=0, demo=SMALL_DEMO)
+        rec = run_unconstrained(builtin("branin"), cfg)
+        assert len(rec.evaluations) == cfg.total_evaluations
+        assert gp._blas_depth == 0
+
+
+# Prints the sha256 of repr(signature()) of a short branin and a short ring run.
+SIGNATURE_SCRIPT = """
+import hashlib
+from mace.engine import RunConfig, run_constrained, run_unconstrained
+from mace.problems import builtin
+runs = (run_unconstrained(builtin("branin"), RunConfig(n_iter={n_iter}, batch_size=5, n_init=20, seed={seed})),
+        run_constrained(builtin("ring-constrained-2d"), RunConfig(n_iter={n_iter}, batch_size=5, n_init=20,
+                                                                  seed={seed})))
+for rec in runs:
+    print(hashlib.sha256(repr(rec.signature()).encode()).hexdigest())
+"""
+
+
+def signature_digests(blas_threads: int, n_iter: int, seed: int) -> list:
+    src = str(Path(mace.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", SIGNATURE_SCRIPT.format(n_iter=n_iter, seed=seed)],
+                         env=env, capture_output=True, text=True, timeout=600, check=True)
+    return out.stdout.split()
+
+
+def test_signature_does_not_depend_on_blas_thread_count():
+    # Rounding in a two-thread factorization differs from a one-thread one, so
+    # without the pin these runs already part within their first iterations.
+    one, two = signature_digests(1, n_iter=4, seed=0), signature_digests(2, n_iter=4, seed=0)
+    assert len(one) == 2 and one == two
