@@ -16,6 +16,7 @@ import shlex
 import subprocess
 import threading
 import time
+import weakref
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
@@ -248,9 +249,35 @@ def resolve_problem(spec: ExperimentSpec) -> Problem:
     return _external_problem(spec) if spec.is_external else builtin(spec.problem)
 
 
+def _start_child(command) -> subprocess.Popen:
+    """Start an evaluator child for one batch; it gets no request until :func:`external_evaluate`."""
+    cmd = shlex.split(command) if isinstance(command, str) else list(command)
+    return subprocess.Popen(
+        cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True,
+    )
+
+
+def _stop_spare(spare: list) -> None:
+    """Kill, reap and close the pipes of the unused child in ``spare``, if any.
+
+    It was sent no request, so it gets no EOF either.
+    """
+    while spare:
+        proc = spare.pop()
+        proc.kill()
+        proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
+
+
 def external_evaluate(command, points, n_constraints: int = 0,
                       timeout: float = ExperimentSpec.timeout, max_parallel: Optional[int] = None):
     """Evaluate a batch of points through a child process.
+
+    ``command`` is a shell-style string or an argument list to start the
+    child from, or a child from :func:`_start_child` that has had no request
+    yet.  Either way the child is reaped before this returns or raises.
 
     Requests are written as JSON lines, at most ``max_parallel`` outstanding at
     a time (all at once by default).  Each point has ``timeout`` seconds from
@@ -264,11 +291,7 @@ def external_evaluate(command, points, n_constraints: int = 0,
     y = np.full(n, np.nan)
     C = np.full((n, n_constraints), np.nan)
 
-    cmd = shlex.split(command) if isinstance(command, str) else list(command)
-    proc = subprocess.Popen(
-        cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL, text=True,
-    )
+    proc = command if isinstance(command, subprocess.Popen) else _start_child(command)
 
     lines: queue.Queue = queue.Queue()
     _EOF = object()
@@ -361,7 +384,14 @@ def external_evaluate(command, points, n_constraints: int = 0,
 
 
 class ExternalEvaluator:
-    """Engine-facing adapter running one child process per batch."""
+    """Engine-facing adapter running one child process per batch.
+
+    A run calls it ``1 + spec.n_iter`` times.  When a call returns normally
+    and another is due, the next batch's child is started at once, so its
+    interpreter start-up overlaps the next proposal; the previous child has
+    exited by then.  :meth:`close` stops such a spare child if no call took
+    it, and garbage collection of the evaluator does the same.
+    """
 
     def __init__(self, spec: ExperimentSpec, problem: Problem):
         self.command = spec.problem[len("cmd:"):]
@@ -369,15 +399,32 @@ class ExternalEvaluator:
         self.n_constraints = problem.n_constraints
         self.timeout = spec.timeout
         self.max_parallel = spec.max_parallel
+        self._calls_left = 1 + spec.n_iter
+        # At most one started child, not yet sent a request; a list, so that the
+        # finalizer reaches the current spare without holding the evaluator.
+        self._spare: list = []
+        weakref.finalize(self, _stop_spare, self._spare)
 
     def __call__(self, X_unit: np.ndarray):
         X_phys = np.vstack([self.problem.denormalize(x) for x in np.atleast_2d(X_unit)])
-        return external_evaluate(
-            self.command, X_phys,
+        child = self._spare.pop() if self._spare else self.command
+        y, C = external_evaluate(
+            child, X_phys,
             n_constraints=self.n_constraints,
             timeout=self.timeout,
             max_parallel=self.max_parallel,
         )
+        self._calls_left -= 1
+        if self._calls_left > 0:
+            try:
+                self._spare.append(_start_child(self.command))
+            except OSError:
+                pass  # the next call starts its child itself and reports the error there
+        return y, C
+
+    def close(self) -> None:
+        """Stop the spare child, if one was started and no call took it."""
+        _stop_spare(self._spare)
 
 
 def spec_to_runconfig(spec: ExperimentSpec, seed: int) -> RunConfig:
@@ -400,11 +447,15 @@ def run_single(spec: ExperimentSpec, seed: int, problem: Optional[Problem] = Non
     problem = problem or resolve_problem(spec)
     evaluator = ExternalEvaluator(spec, problem) if spec.is_external else make_evaluator(problem)
     config = spec_to_runconfig(spec, seed)
-    if spec.algorithm == "random":
-        return run_random(problem, config, evaluator)
-    if spec.mode == "constrained":
-        return run_constrained(problem, config, evaluator, algorithm=spec.algorithm)
-    return run_unconstrained(problem, config, evaluator, algorithm=spec.algorithm)
+    try:
+        if spec.algorithm == "random":
+            return run_random(problem, config, evaluator)
+        if spec.mode == "constrained":
+            return run_constrained(problem, config, evaluator, algorithm=spec.algorithm)
+        return run_unconstrained(problem, config, evaluator, algorithm=spec.algorithm)
+    finally:
+        if spec.is_external:
+            evaluator.close()
 
 
 def _fmt(value) -> str:

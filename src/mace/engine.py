@@ -62,7 +62,7 @@ class RunConfig:
             raise ValueError("n_init must be at least 2")
         if self.n_iter < 0:
             raise ValueError("n_iter must be non-negative")
-        if self.rho < 0:
+        if not self.rho >= 0:
             raise ValueError("rho must be non-negative")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")

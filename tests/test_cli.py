@@ -1,15 +1,18 @@
 """Config parsing, the external-evaluator wire protocol and campaign output."""
 
 import csv
+import gc
 import json
+import os
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mace import cli
+from mace import cli, engine
 from mace.cli import (
     ExperimentSpec,
     external_evaluate,
@@ -20,10 +23,18 @@ from mace.cli import (
 )
 from mace.errors import ConfigError, ProtocolError
 
+# A second argument names a PID log: the child appends its PID on start, and
+# the lines already there tell it how many children were started before it.
 CHILD_SOURCE = r"""
-import json, sys, time
+import json, math, os, sys, time
 
 mode = sys.argv[1] if len(sys.argv) > 1 else "echo"
+launch = 0
+if len(sys.argv) > 2:
+    with open(sys.argv[2], "a+") as fh:
+        fh.seek(0)
+        launch = len(fh.read().split())
+        fh.write(f"{os.getpid()}\n")
 
 if mode == "reversed":
     reqs = [json.loads(l) for l in sys.stdin]
@@ -41,11 +52,14 @@ for line in sys.stdin:
         time.sleep(10)
     if mode == "slow":
         time.sleep(0.4)
-    if mode == "malformed" and i == 1:
+    if (mode == "malformed" and i == 1) or (mode == "malformed-second" and launch == 1):
         print("{this is not json", flush=True)
         answered += 1
         continue
     y = float("nan") if (mode == "nan0" and i == 0) else sum(x)
+    if mode == "branin":
+        b, c, s = 5.1 / (4 * math.pi**2), 5 / math.pi, 1 / (8 * math.pi)
+        y = (x[1] - b * x[0] ** 2 + c * x[0] - 6) ** 2 + 10 * (1 - s) * math.cos(x[0]) + 10
     resp = {"id": i, "y": y}
     if mode == "constrained":
         resp["c"] = [x[0] - 0.5]
@@ -61,8 +75,8 @@ def child(tmp_path):
     script = tmp_path / "evaluator.py"
     script.write_text(CHILD_SOURCE)
 
-    def command(mode="echo"):
-        return f"{sys.executable} {script} {mode}"
+    def command(mode="echo", pid_log=None):
+        return f"{sys.executable} {script} {mode}" + ("" if pid_log is None else f" {pid_log}")
 
     return command
 
@@ -213,6 +227,137 @@ class TestExternalEvaluate:
         pts = np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0], [0.4, 0.0]])
         y, _ = external_evaluate(child("echo"), pts, timeout=30, max_parallel=1)
         np.testing.assert_allclose(y, pts.sum(axis=1))
+
+
+def external_spec(command, **extra):
+    """A small cmd: campaign: 8 initial points, then 3 batches of 2."""
+    base = dict(problem=f"cmd:{command}", dim=2, budget=14, batch=2, n_init=8, repeats=1, seed=1,
+                demo_population=20, demo_evaluations=40, gp_restarts=2, timeout=30)
+    base.update(extra)
+    return parse_config(None, base)
+
+
+def is_running(pid):
+    """True while ``pid`` exists, also as a zombie nobody reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every child the evaluator starts, in order."""
+    procs, start = [], cli._start_child
+
+    def start_and_record(command):
+        procs.append(start(command))
+        return procs[-1]
+
+    monkeypatch.setattr(cli, "_start_child", start_and_record)
+    return procs
+
+
+class TestPreStartedChild:
+    def test_one_child_per_batch_and_none_left(self, child, started, tmp_path):
+        pid_log = tmp_path / "pids"
+        spec = external_spec(child("echo", pid_log))
+        run_single(spec, seed=1)
+        pids = [int(p) for p in pid_log.read_text().split()]
+        assert len(pids) == 1 + spec.n_iter == len(started)
+        assert pids == [p.pid for p in started]
+        assert not any(is_running(pid) for pid in pids)
+
+    def test_run_that_raises_leaves_no_child(self, child, started, tmp_path):
+        pid_log = tmp_path / "pids"
+        spec = external_spec(child("malformed-second", pid_log))
+        with pytest.raises(ProtocolError):
+            run_single(spec, seed=1)
+        pids = [int(p) for p in pid_log.read_text().split()]
+        assert len(pids) == 2 == len(started)  # no spare after the batch that raised
+        assert not any(is_running(pid) for pid in pids)
+
+    def test_proposal_that_raises_leaves_no_child(self, child, started, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("proposal failed")
+
+        monkeypatch.setattr(engine, "demo_optimize", fail)
+        # Holding the traceback keeps the evaluator alive, so only close() can stop the spare.
+        with pytest.raises(RuntimeError, match="proposal failed") as raised:
+            run_single(external_spec(child("echo")), seed=1)
+        assert len(started) == 2  # the initial design's child and the spare
+        assert all(p.returncode is not None for p in started)
+        assert raised.traceback
+
+    def test_close_and_collection_stop_the_spare(self, child, started):
+        spec = external_spec(child("echo"))
+        points = np.full((2, 2), 0.5)
+        evaluator = cli.ExternalEvaluator(spec, cli.resolve_problem(spec))
+        evaluator(points)
+        spare = started[-1]
+        assert len(started) == 2 and spare.returncode is None
+        evaluator.close()
+        assert spare.returncode is not None and spare.stdin.closed and spare.stdout.closed
+
+        evaluator(points)
+        spare = started[-1]
+        assert len(started) == 4 and spare.returncode is None
+        del evaluator
+        gc.collect()
+        assert spare.returncode is not None and spare.stdin.closed and spare.stdout.closed
+
+    def test_spare_that_fails_to_start_keeps_the_batch(self, child, monkeypatch):
+        start, calls = cli._start_child, []
+
+        def fail_second(command):
+            calls.append(command)
+            if len(calls) == 2:
+                raise OSError("no process slots")
+            return start(command)
+
+        monkeypatch.setattr(cli, "_start_child", fail_second)
+        spec = external_spec(child("echo"))
+        points = np.array([[0.1, 0.2], [0.3, 0.4]])
+        evaluator = cli.ExternalEvaluator(spec, cli.resolve_problem(spec))
+        try:
+            first, _ = evaluator(points)
+            second, _ = evaluator(points)  # no spare, so this call starts its own child
+        finally:
+            evaluator.close()
+        assert len(calls) == 4
+        np.testing.assert_allclose(first, points.sum(axis=1))
+        np.testing.assert_allclose(second, points.sum(axis=1))
+
+    def test_timeout_counts_from_send_not_child_start(self, child, started):
+        spec = external_spec(child("echo"), timeout=0.5)
+        points = np.array([[0.1, 0.2], [0.3, 0.4]])
+        evaluator = cli.ExternalEvaluator(spec, cli.resolve_problem(spec))
+        try:
+            evaluator(points)
+            time.sleep(1.0)  # the spare child has been up for longer than the timeout
+            y, _ = evaluator(points)
+        finally:
+            evaluator.close()
+        assert len(started) == 3  # the second batch ran on the spare
+        np.testing.assert_allclose(y, points.sum(axis=1))
+
+    def test_signature_same_with_early_or_cold_child(self, child):
+        spec = external_spec(child("branin"), budget=35, batch=5, n_init=20, bounds=[[-5, 10], [0, 15]])
+        problem = cli.resolve_problem(spec)
+        early = run_single(spec, seed=0, problem=problem)
+
+        evaluator = cli.ExternalEvaluator(spec, problem)
+
+        def cold(X):
+            evaluator.close()  # stop the spare, so every batch starts its own child
+            return evaluator(X)
+
+        try:
+            cold_rec = engine.run_unconstrained(problem, cli.spec_to_runconfig(spec, 0), cold)
+        finally:
+            evaluator.close()
+        assert early.signature() == cold_rec.signature()
 
 
 class TestCampaign:

@@ -599,6 +599,8 @@ class TestRunConfig:
             RunConfig(n_iter=1, batch_size=1, ensemble=("ucb",))
         with pytest.raises(ValueError):
             RunConfig(n_iter=1, batch_size=1, rho=-0.1)
+        with pytest.raises(ValueError, match="rho"):
+            RunConfig(n_iter=1, batch_size=1, rho=float("nan"))
         with pytest.raises(ValueError, match="xi"):
             RunConfig(n_iter=1, batch_size=1, xi=-1.0)
         with pytest.raises(ValueError, match="nu"):
