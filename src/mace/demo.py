@@ -26,29 +26,25 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EvaluatorFaultError
 
+# DE/rand/1 variation: mutation scale factor F and binomial crossover rate CR.
+SCALE_FACTOR = 0.8
+CROSSOVER_RATE = 0.9
+# Above this many members the archive is pruned by crowding distance.
+ARCHIVE_CAP = 600
+
 
 @dataclass(frozen=True)
 class DemoConfig:
-    """Run budget and variation-operator constants for the evolution."""
+    """Budget of one inner solve: population size and scored trial points."""
 
     population_size: int = 100
     max_evaluations: int = 2000
-    scale_factor: float = 0.8
-    crossover_rate: float = 0.9
-    seed: int = 0
-    archive_cap: int = 600
 
     def __post_init__(self):
         if self.population_size < 4:
             raise ValueError("population_size must be at least 4")
         if self.max_evaluations < self.population_size:
             raise ValueError("max_evaluations must be at least population_size")
-        if not 0 < self.scale_factor:
-            raise ValueError("scale_factor must be positive")
-        if not 0 <= self.crossover_rate <= 1:
-            raise ValueError("crossover_rate must lie in [0, 1]")
-        if self.archive_cap < 1:
-            raise ValueError("archive_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -220,7 +216,7 @@ def _reflect_unit(v: np.ndarray) -> np.ndarray:
     return np.clip(v, 0.0, 1.0)  # guards pathological multi-bounce cases
 
 
-def demo_optimize(objective_fn, dim: int, config: DemoConfig, initial_points=None) -> ParetoSet:
+def demo_optimize(objective_fn, dim: int, config: DemoConfig, seed: int = 0, initial_points=None) -> ParetoSet:
     """Minimize a vector objective over [0,1]^dim and return a non-dominated set.
 
     Exactly ``config.max_evaluations`` points are scored after the initial
@@ -230,9 +226,8 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, initial_points=Non
     evaluated points, each distinct point once; it is deterministic for a fixed
     seed.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     pop = config.population_size
-    F_scale, CR = config.scale_factor, config.crossover_rate
 
     pop_x = rng.random((pop, dim))
     if initial_points is not None:
@@ -255,9 +250,9 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, initial_points=Non
         order = np.argsort(np.take_along_axis(keys, picked, axis=1), axis=1)
         r = np.take_along_axis(picked, order, axis=1)
         mutants = _reflect_unit(
-            pop_x[r[:, 0]] + F_scale * (pop_x[r[:, 1]] - pop_x[r[:, 2]])
+            pop_x[r[:, 0]] + SCALE_FACTOR * (pop_x[r[:, 1]] - pop_x[r[:, 2]])
         )
-        cross = rng.random((n_children, dim)) < CR
+        cross = rng.random((n_children, dim)) < CROSSOVER_RATE
         cross[np.arange(n_children), rng.integers(dim, size=n_children)] = True
         trial = np.where(cross, mutants, pop_x[:n_children])
         trial_f = _evaluate(objective_fn, trial)
@@ -275,7 +270,7 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, initial_points=Non
         if pop_x.shape[0] > pop:
             pop_x, pop_f = _truncate(pop_x, pop_f, pop)
 
-        arch_x, arch_f = _update_archive(arch_x, arch_f, trial, trial_f, config.archive_cap)
+        arch_x, arch_f = _update_archive(arch_x, arch_f, trial, trial_f, ARCHIVE_CAP)
 
     all_x = np.vstack([pop_x, arch_x])
     all_f = np.vstack([pop_f, arch_f])

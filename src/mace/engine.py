@@ -12,7 +12,7 @@ stage 2 on.  The random proposer draws uniform points.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,6 +62,8 @@ class RunConfig:
             raise ValueError("n_init must be at least 2")
         if self.n_iter < 0:
             raise ValueError("n_iter must be non-negative")
+        if not self.gp_restarts >= 1:
+            raise ValueError("gp_restarts must be at least 1")
         if not self.rho >= 0:
             raise ValueError("rho must be non-negative")
         if self.mode not in MODES:
@@ -170,8 +172,12 @@ class RunRecord:
 
     def add_batch(self, iteration: int, X: np.ndarray, y: np.ndarray, C: np.ndarray, provenance, wall_ms: float):
         """Append one evaluated batch and extend the incumbent trace point by point."""
+        B = X.shape[0]
+        if y.shape != (B,) or C.shape != (B, self.n_constraints):
+            raise DimensionMismatchError(f"evaluator returned y of shape {y.shape} and C of shape {C.shape} for "
+                                         f"{B} points; expected {(B,)} and {(B, self.n_constraints)}")
         incumbent = self.final_incumbent
-        for i in range(X.shape[0]):
+        for i in range(B):
             idx = len(self.evaluations)
             ci = np.asarray(C[i], dtype=float)
             ok = bool(np.isfinite(y[i])) and bool(np.all(np.isfinite(ci)))
@@ -185,13 +191,13 @@ class RunRecord:
                     incumbent = cand
             self.incumbent_trace.append(incumbent)
 
-    def dataset(self, bounds, n_c: int) -> Dataset:
+    def dataset(self, n_c: int) -> Dataset:
         """The usable observations with their first ``n_c`` constraint values."""
         rows = [r for r in self.evaluations if not r.faulted]
         if len(rows) < 2:
             raise EvaluatorFaultError("fewer than two usable observations; cannot fit surrogates")
         return Dataset(np.vstack([r.x for r in rows]), [r.y for r in rows],
-                       np.vstack([r.c[:n_c] for r in rows]), bounds)
+                       np.vstack([r.c[:n_c] for r in rows]))
 
     def signature(self) -> tuple:
         """Deterministic content of the record, excluding wall-clock times."""
@@ -334,10 +340,10 @@ def prune_candidates(pareto: ParetoSet, constraint_models, rho: float):
     return pareto.subset(np.flatnonzero(keep)), False
 
 
-def _dedup_indices(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    # Points closer than tol in every coordinate collapse onto the same grid
+def _dedup_indices(points: np.ndarray) -> np.ndarray:
+    # Points closer than 1e-9 in every coordinate collapse onto the same grid
     # cell; keep the first occurrence of each cell.
-    keys = np.round(points / tol).astype(np.int64)
+    keys = np.round(points / 1e-9).astype(np.int64)
     _, first = np.unique(keys, axis=0, return_index=True)
     first.sort()
     return first
@@ -435,17 +441,14 @@ def _mace_proposer(problem: Problem, config: RunConfig, n_c: int):
         obj_seed = int(rng.integers(2**31 - 1))
         con_seeds = [int(rng.integers(2**31 - 1)) for _ in range(n_c)]
         demo_seed = int(rng.integers(2**31 - 1))
-        ds = rec.dataset(problem.bounds, n_c)
+        ds = rec.dataset(n_c)
         # With n_c = 0 every usable row counts as feasible.
         feasible = ds.feasible_mask()
         stage = "unconstrained"
         if n_c:
             stage = "stage2" if config.one_stage or feasible.any() else "stage1"
-        constraint_models = [
-            fit_gp(Dataset(ds.X, ds.C[:, j], np.zeros((ds.n, 0)), ds.bounds),
-                   restarts=config.gp_restarts, seed=con_seeds[j])
-            for j in range(n_c)
-        ]
+        constraint_models = [fit_gp(Dataset(ds.X, ds.C[:, j]), restarts=config.gp_restarts, seed=con_seeds[j])
+                             for j in range(n_c)]
         if stage == "stage1":
             objective_fn = build_stage1_objectives(constraint_models, ds)
         else:
@@ -458,8 +461,7 @@ def _mace_proposer(problem: Problem, config: RunConfig, n_c: int):
             else:
                 objective_fn = build_unconstrained_objectives(objective_model, ctx, config.ensemble)
         warm = _warm_start(ds, config.demo.population_size // 2) if n_c else None
-        pareto = demo_optimize(objective_fn, problem.dim, replace(config.demo, seed=demo_seed),
-                               initial_points=warm)
+        pareto = demo_optimize(objective_fn, problem.dim, config.demo, seed=demo_seed, initial_points=warm)
         fallback = False
         if stage == "stage2":
             pareto, fallback = prune_candidates(pareto, constraint_models, config.rho)

@@ -79,14 +79,12 @@ class Dataset:
 
     ``X`` holds N points in unit-cube coordinates, ``y`` the N objective
     observations and ``C`` an (N, n_constraints) matrix of constraint values
-    (zero columns for unconstrained runs).  ``bounds`` keeps the original
-    per-dimension (lower, upper) box so points can be de-normalized.
+    (zero columns when omitted or empty).
     """
 
     X: np.ndarray
     y: np.ndarray
-    C: np.ndarray
-    bounds: tuple[np.ndarray, np.ndarray]
+    C: np.ndarray = ()
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -95,18 +93,13 @@ class Dataset:
         if C.size == 0:
             C = np.zeros((X.shape[0], 0))
         C = np.atleast_2d(C)
-        lower = np.atleast_1d(np.asarray(self.bounds[0], dtype=float))
-        upper = np.atleast_1d(np.asarray(self.bounds[1], dtype=float))
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "bounds", (lower, upper))
         if X.min(initial=0.0) < -1e-12 or X.max(initial=1.0) > 1 + 1e-12:
             raise ValueError("design points must lie in the unit cube")
         if y.shape[0] != X.shape[0] or C.shape[0] != X.shape[0]:
             raise DimensionMismatchError("y and C must have one row per design point")
-        if lower.shape != (X.shape[1],) or upper.shape != (X.shape[1],):
-            raise DimensionMismatchError("bounds must give one (lower, upper) pair per dimension")
 
     @property
     def n(self) -> int:
@@ -321,7 +314,7 @@ def _neg_lml_and_grad(log_theta: np.ndarray, sqdists: np.ndarray, y_std: np.ndar
     return -lml, -grad
 
 
-def fit_gp(dataset: Dataset, restarts: int = 10, seed: int = 0) -> GpModel:
+def fit_gp(dataset: Dataset, restarts: int, seed: int = 0) -> GpModel:
     """Fit hyperparameters by multi-start maximization of the log evidence.
 
     Deterministic for a fixed seed: the first start is a fixed heuristic and the

@@ -43,10 +43,6 @@ class Problem:
     def n_constraints(self) -> int:
         return len(self.constraints)
 
-    @property
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.lower, self.upper
-
     def denormalize(self, x_unit: np.ndarray) -> np.ndarray:
         return self.lower + np.asarray(x_unit, dtype=float) * (self.upper - self.lower)
 

@@ -29,10 +29,6 @@ def report(number: int, ok: bool, detail: str):
     assert ok, f"criterion {number} failed: {detail}"
 
 
-def unit_bounds(d):
-    return np.zeros(d), np.ones(d)
-
-
 # ---------------------------------------------------------------- campaigns
 
 
@@ -117,7 +113,7 @@ def test_criterion_1_gp_dense_inverse_oracle():
         d = int(rng.integers(1, 7))
         X = rng.random((n, d))
         y = np.sin(X @ rng.uniform(1, 4, d)) + 0.1 * rng.standard_normal(n)
-        ds = Dataset(X, y, np.zeros((n, 0)), unit_bounds(d))
+        ds = Dataset(X, y)
         hyp = KernelHyperParams(rng.uniform(0.3, 2), rng.uniform(0.02, 0.5),
                                 rng.uniform(0.1, 2, d))
         model = build_gp(ds, hyp)

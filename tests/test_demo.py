@@ -146,6 +146,27 @@ class TestUpdateArchive:
         assert kept.size == len(set(kept))
         assert np.array_equal(F, union_f[kept])
 
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    def test_above_cap_prunes_by_crowding(self, m):
+        # Rows on the plane sum(f) = 1 are mutually non-dominated; shifted copies are dominated.
+        rng = np.random.default_rng(m)
+        arch_f = rng.dirichlet(np.ones(m), 30)
+        new_f = np.vstack([rng.dirichlet(np.ones(m), 30), arch_f[:10] + 0.5])
+        union_f = np.vstack([arch_f, new_f])
+        ids = np.arange(union_f.shape[0], dtype=float)[:, None]
+        cap = 40
+        X, F = _update_archive(ids[:30], arch_f, ids[30:], new_f, cap=cap)
+        kept = X[:, 0].astype(int)
+        assert kept.size == cap
+        assert np.all(np.diff(kept) > 0)  # union order
+        assert np.array_equal(F, union_f[kept])
+        assert brute_force_front(F) == set(range(cap))
+        front = np.array(sorted(brute_force_front(union_f)))
+        assert front.size == 60
+        for j in range(m):
+            assert front[np.argmin(union_f[front, j])] in kept
+            assert front[np.argmax(union_f[front, j])] in kept
+
 
 class TestCrowding:
     def test_boundaries_infinite(self):
@@ -169,28 +190,26 @@ class TestDemoOptimize:
     def test_single_objective_sphere(self):
         bests = []
         for seed in range(10):
-            cfg = DemoConfig(seed=seed)
-            ps = demo_optimize(lambda X: np.sum(X**2, axis=1, keepdims=True), 5, cfg)
+            ps = demo_optimize(lambda X: np.sum(X**2, axis=1, keepdims=True), 5, DemoConfig(), seed=seed)
             bests.append(ps.objectives.min())
         assert np.median(bests) <= 1e-2
 
     def test_segment_coverage(self):
-        cfg = DemoConfig(seed=0)
-        ps = demo_optimize(lambda X: np.column_stack([X[:, 0], 1.0 - X[:, 0]]), 1, cfg)
+        ps = demo_optimize(lambda X: np.column_stack([X[:, 0], 1.0 - X[:, 0]]), 1, DemoConfig(), seed=0)
         span = ps.objectives[:, 0].max() - ps.objectives[:, 0].min()
         assert span >= 0.9
 
     def test_deterministic(self):
         fn = lambda X: np.column_stack([X[:, 0] ** 2, (X[:, 0] - 1) ** 2, X[:, 1]])
-        a = demo_optimize(fn, 2, DemoConfig(seed=7))
-        b = demo_optimize(fn, 2, DemoConfig(seed=7))
+        a = demo_optimize(fn, 2, DemoConfig(), seed=7)
+        b = demo_optimize(fn, 2, DemoConfig(), seed=7)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.objectives, b.objectives)
 
     def test_budget_exact(self):
         fn, calls = counting(lambda X: np.column_stack([X[:, 0], 1.0 - X[:, 0]]))
-        cfg = DemoConfig(population_size=30, max_evaluations=95, seed=1)
-        demo_optimize(fn, 2, cfg)
+        cfg = DemoConfig(population_size=30, max_evaluations=95)
+        demo_optimize(fn, 2, cfg, seed=1)
         assert calls["points"] == 30 + 95  # initial population plus exactly the budget
 
     def test_result_points_pairwise_distinct(self):
@@ -201,7 +220,7 @@ class TestDemoOptimize:
         def fn(X):
             return np.column_stack([np.sum((X - a) ** 2, axis=1) for a in A])
 
-        ps = demo_optimize(fn, 2, DemoConfig(seed=0))
+        ps = demo_optimize(fn, 2, DemoConfig(), seed=0)
         assert np.unique(ps.points, axis=0).shape[0] == len(ps)
 
     def test_result_mutually_non_dominated_and_in_cube(self):
@@ -211,7 +230,7 @@ class TestDemoOptimize:
         def fn(X):
             return np.column_stack([np.sum((X - a) ** 2, axis=1) for a in A])
 
-        ps = demo_optimize(fn, 4, DemoConfig(population_size=40, max_evaluations=400, seed=2))
+        ps = demo_optimize(fn, 4, DemoConfig(population_size=40, max_evaluations=400), seed=2)
         assert np.all(ps.points >= 0) and np.all(ps.points <= 1)
         F = ps.objectives
         assert brute_force_front(F) == set(range(len(F)))
@@ -222,17 +241,17 @@ class TestDemoOptimize:
         def fn(X):
             return np.sum((X - target) ** 2, axis=1, keepdims=True)
 
-        cfg = DemoConfig(population_size=20, max_evaluations=20, seed=0)
-        ps = demo_optimize(fn, 2, cfg, initial_points=target)
+        cfg = DemoConfig(population_size=20, max_evaluations=20)
+        ps = demo_optimize(fn, 2, cfg, seed=0, initial_points=target)
         # the seeded optimum is in the initial population, so the front holds it
         assert ps.objectives.min() <= 1e-12
 
     def test_initial_points_clipped_and_deterministic(self):
         fn = lambda X: np.column_stack([X[:, 0], 1.0 - X[:, 0]])
         seeds = np.array([[1.7, -0.2], [0.5, 0.5]])
-        cfg = DemoConfig(population_size=10, max_evaluations=20, seed=3)
-        a = demo_optimize(fn, 2, cfg, initial_points=seeds)
-        b = demo_optimize(fn, 2, cfg, initial_points=seeds)
+        cfg = DemoConfig(population_size=10, max_evaluations=20)
+        a = demo_optimize(fn, 2, cfg, seed=3, initial_points=seeds)
+        b = demo_optimize(fn, 2, cfg, seed=3, initial_points=seeds)
         assert np.all(a.points >= 0) and np.all(a.points <= 1)
         assert np.array_equal(a.points, b.points)
 
@@ -249,7 +268,7 @@ class TestDemoOptimize:
             return out
 
         with pytest.raises(EvaluatorFaultError):
-            demo_optimize(fn, 2, DemoConfig(population_size=10, max_evaluations=10, seed=0))
+            demo_optimize(fn, 2, DemoConfig(population_size=10, max_evaluations=10), seed=0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from mace.acquisition import AcqContext
 from mace.demo import DemoConfig, ParetoSet
 from mace.engine import (
     RunConfig,
+    RunRecord,
     _initial_design,
     _run,
     build_stage1_objectives,
@@ -35,17 +36,13 @@ from mace.errors import DimensionMismatchError, EvaluatorFaultError, StageError
 from mace.gp import Dataset, GpModel, KernelHyperParams, build_gp, fit_gp, predict
 from mace.problems import Problem, builtin
 
-SMALL_DEMO = DemoConfig(population_size=30, max_evaluations=300, seed=0)
-
-
-def unit_bounds(d):
-    return np.zeros(d), np.ones(d)
+SMALL_DEMO = DemoConfig(population_size=30, max_evaluations=300)
 
 
 def toy_model(rng, n=12, d=2):
     X = rng.random((n, d))
     y = np.sin(3 * X[:, 0]) + X[:, 1]
-    ds = Dataset(X, y, np.zeros((n, 0)), unit_bounds(d))
+    ds = Dataset(X, y)
     return build_gp(ds, KernelHyperParams(1.0, 0.05, np.full(d, 0.4))), ds
 
 
@@ -84,7 +81,7 @@ class TestUnconstrainedObjectives:
         # posterior collapses onto a training point whose value equals tau
         X = np.array([[0.2, 0.2], [0.8, 0.8]])
         y = np.array([1.0, 2.0])
-        ds = Dataset(X, y, np.zeros((2, 0)), unit_bounds(2))
+        ds = Dataset(X, y)
         model = build_gp(ds, KernelHyperParams(1.0, 1e-6, np.array([0.3, 0.3])))
         ctx = AcqContext(tau=1.0, d=2, t=1)
         vec = build_unconstrained_objectives(model, ctx)(X[:1])[0]
@@ -114,14 +111,14 @@ class TestUnconstrainedObjectives:
         # sparse design so expected improvement keeps a clear interior peak
         X = np.array([[0.05], [0.2], [0.45], [0.8], [0.95]])
         y = (X[:, 0] - 0.3) ** 2
-        ds = Dataset(X, y, np.zeros((5, 0)), unit_bounds(1))
+        ds = Dataset(X, y)
         model = fit_gp(ds, restarts=5, seed=0)
         ctx = AcqContext(tau=float(y.min()), d=1, t=1)
         grid = np.linspace(0, 1, 4001)[:, None]
         mu, s = predict(model, grid)
         grid_best = float(grid[np.argmax(acq.ei(mu, s, ctx)), 0])
         fn = build_unconstrained_objectives(model, ctx, ("ei",))
-        ps = demo_optimize(fn, 1, DemoConfig(population_size=40, max_evaluations=800, seed=0))
+        ps = demo_optimize(fn, 1, DemoConfig(population_size=40, max_evaluations=800), seed=0)
         demo_best = float(ps.points[np.argmin(ps.objectives[:, 0]), 0])
         assert abs(demo_best - grid_best) <= 0.02
 
@@ -130,7 +127,7 @@ def constraint_dataset(rng, n=14, feasible=False):
     X = rng.random((n, 2))
     c = X[:, 0] - 0.5 if feasible else X.sum(axis=1) + 0.5  # latter never < 0
     y = np.cos(3 * X[:, 1])
-    return Dataset(X, y, c[:, None], unit_bounds(2))
+    return Dataset(X, y, c[:, None])
 
 
 class TestStageObjectives:
@@ -138,7 +135,7 @@ class TestStageObjectives:
         rng = np.random.default_rng(3)
         ds = constraint_dataset(rng, feasible=True)
         model = build_gp(
-            Dataset(ds.X, ds.C[:, 0], np.zeros((ds.n, 0)), ds.bounds),
+            Dataset(ds.X, ds.C[:, 0]),
             KernelHyperParams(1.0, 0.1, np.array([0.4, 0.4])),
         )
         with pytest.raises(StageError):
@@ -148,7 +145,7 @@ class TestStageObjectives:
         rng = np.random.default_rng(4)
         ds = constraint_dataset(rng)
         cmodel = build_gp(
-            Dataset(ds.X, ds.C[:, 0], np.zeros((ds.n, 0)), ds.bounds),
+            Dataset(ds.X, ds.C[:, 0]),
             KernelHyperParams(1.0, 0.1, np.array([0.4, 0.4])),
         )
         fn = build_stage1_objectives([cmodel], ds)
@@ -201,11 +198,11 @@ class TestStageObjectives:
         rng = np.random.default_rng(8)
         ds = constraint_dataset(rng, feasible=True)
         obj_model = build_gp(
-            Dataset(ds.X, ds.y, np.zeros((ds.n, 0)), ds.bounds),
+            Dataset(ds.X, ds.y),
             KernelHyperParams(1.0, 0.1, np.array([0.5, 0.5])),
         )
         cmodel = build_gp(
-            Dataset(ds.X, ds.C[:, 0], np.zeros((ds.n, 0)), ds.bounds),
+            Dataset(ds.X, ds.C[:, 0]),
             KernelHyperParams(1.0, 0.1, np.array([0.5, 0.5])),
         )
         tau = float(ds.y[ds.feasible_mask()].min())
@@ -271,7 +268,7 @@ class TestPrune:
         rng = np.random.default_rng(11)
         ds = constraint_dataset(rng)
         cmodel = build_gp(
-            Dataset(ds.X, ds.C[:, 0] - 0.9, np.zeros((ds.n, 0)), ds.bounds),
+            Dataset(ds.X, ds.C[:, 0] - 0.9),
             KernelHyperParams(1.0, 0.05, np.array([0.3, 0.3])),
         )
         ps = ParetoSet(rng.random((40, 2)), rng.random((40, 3)))
@@ -342,7 +339,7 @@ def grid_sequential_ei(problem, n_init, n_iter, seed):
     y = np.array([problem.objective(problem.denormalize(x)) for x in X])
     grid = np.linspace(0, 1, 2001)[:, None]
     for t in range(1, n_iter + 1):
-        ds = Dataset(X, y, np.zeros((len(y), 0)), unit_bounds(1))
+        ds = Dataset(X, y)
         model = fit_gp(ds, restarts=5, seed=seed + t)
         ctx = AcqContext(tau=float(y.min()), d=1, t=t)
         mu, s = predict(model, grid)
@@ -540,6 +537,32 @@ class TestRunConstrained:
             assert r.faulted == bool(r.x[0] < 0.3)
             assert np.isnan(r.y) == r.faulted
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda y, C: (y, np.hstack([C, C[:, :1]])),
+        lambda y, C: (np.append(y, y[0]), np.vstack([C, C[:1]])),
+        lambda y, C: (y[:-1], C[:-1]),
+    ], ids=["extra-constraint-column", "extra-row", "missing-row"])
+    def test_evaluator_result_shape_checked(self, corrupt):
+        problem = builtin("ring-constrained-2d")
+        base = make_evaluator(problem)
+        calls = [0]
+
+        def bad_first_proposal(X):
+            calls[0] += 1
+            y, C = base(X)
+            return corrupt(y, C) if calls[0] == 2 else (y, C)
+
+        cfg = RunConfig(n_iter=2, batch_size=3, n_init=6, seed=0, gp_restarts=2, demo=SMALL_DEMO)
+        with pytest.raises(DimensionMismatchError, match="expected"):
+            run_constrained(problem, cfg, evaluator=bad_first_proposal)
+        # The check comes before any row of the bad batch is recorded.
+        rec = RunRecord(problem.name, "mace", problem.dim, problem.n_constraints, cfg)
+        X = np.random.default_rng(0).random((3, problem.dim))
+        y, C = corrupt(*base(X))
+        with pytest.raises(DimensionMismatchError):
+            rec.add_batch(1, X, y, C, ["pareto-sample"] * 3, 0.0)
+        assert rec.evaluations == [] and rec.incumbent_trace == []
+
 
 class TestFaultInjection:
     """A seeded 20% of all points fault, initial design included, under every runner."""
@@ -607,6 +630,9 @@ class TestRunConfig:
             RunConfig(n_iter=1, batch_size=1, nu=0.0)
         with pytest.raises(ValueError, match="delta"):
             RunConfig(n_iter=1, batch_size=1, delta=1.0)
+        for restarts in (0, -3):
+            with pytest.raises(ValueError, match="gp_restarts"):
+                RunConfig(n_iter=1, batch_size=1, gp_restarts=restarts)
 
     def test_ensemble_canonicalized(self):
         cfg = RunConfig(n_iter=1, batch_size=1, ensemble=("EI", "pi"))

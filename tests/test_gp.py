@@ -26,14 +26,10 @@ from mace.gp import (
 from mace.problems import builtin
 
 
-def unit_bounds(d):
-    return np.zeros(d), np.ones(d)
-
-
 def random_dataset(rng, n, d, noise=0.05):
     X = rng.random((n, d))
     y = np.sin(3 * X.sum(axis=1)) + noise * rng.standard_normal(n)
-    return Dataset(X, y, np.zeros((n, 0)), unit_bounds(d))
+    return Dataset(X, y)
 
 
 def dense_predict_oracle(dataset, hyp, X_star):
@@ -119,7 +115,7 @@ class TestLogMarginalLikelihood:
     def test_single_point_hand_value(self):
         # One observation, k(x,x)=1, noise variance 1; the standardized target is 0,
         # so only the determinant and constant terms remain.
-        ds = Dataset(np.array([[0.5]]), np.array([3.7]), np.zeros((1, 0)), unit_bounds(1))
+        ds = Dataset(np.array([[0.5]]), np.array([3.7]))
         hyp = KernelHyperParams(1.0, 1.0, np.array([1.0]))
         expected = -0.5 * math.log(2.0) - 0.5 * math.log(2.0 * math.pi)
         assert log_marginal_likelihood(ds, hyp) == pytest.approx(expected, abs=1e-10)
@@ -129,7 +125,7 @@ class TestLogMarginalLikelihood:
         rng = np.random.default_rng(7)
         X = rng.random((12, 1))
         y = 2.0 * X[:, 0] + 1.0  # noiseless linear toy
-        ds = Dataset(X, y, np.zeros((12, 0)), unit_bounds(1))
+        ds = Dataset(X, y)
         good = KernelHyperParams(1.0, 1e-3, np.array([1.0]))
         bad = KernelHyperParams(1.0, 1.0, np.array([1.0]))
         assert log_marginal_likelihood(ds, good) > log_marginal_likelihood(ds, bad)
@@ -209,7 +205,7 @@ class TestFit:
     def test_noiseless_sine_fits_low_noise(self):
         x = np.linspace(0, 1, 20)[:, None]
         y = np.sin(2 * np.pi * x[:, 0])
-        ds = Dataset(x, y, np.zeros((20, 0)), unit_bounds(1))
+        ds = Dataset(x, y)
         model = fit_gp(ds, restarts=10, seed=0)
         noise_destd = model.hyperparams.noise_stddev * model.y_scale
         assert noise_destd <= 0.05
@@ -218,7 +214,7 @@ class TestFit:
         rng = np.random.default_rng(42)
         X = rng.random((20, 2))
         y = rng.standard_normal(20)
-        ds = Dataset(X, y, np.zeros((20, 0)), unit_bounds(2))
+        ds = Dataset(X, y)
         model = fit_gp(ds, restarts=10, seed=0)
         sf2 = model.hyperparams.signal_stddev**2
         sn2 = model.hyperparams.noise_stddev**2
@@ -235,7 +231,7 @@ class TestFit:
 
     def test_requires_two_distinct_points(self):
         X = np.array([[0.5, 0.5], [0.5, 0.5]])
-        ds = Dataset(X, np.array([1.0, 1.0]), np.zeros((2, 0)), unit_bounds(2))
+        ds = Dataset(X, np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             fit_gp(ds, restarts=2, seed=0)
 
@@ -256,14 +252,14 @@ class TestFit:
             for s in range(4):
                 X = qmc.LatinHypercube(d=2, seed=s).random(n)
                 y = np.array([problem.objective(problem.denormalize(x)) for x in X])
-                fit_gp(Dataset(X, y, np.zeros((n, 0)), unit_bounds(2)), restarts=5, seed=s)
+                fit_gp(Dataset(X, y), restarts=5, seed=s)
         assert len(outcomes) == 60
         assert outcomes.count(False) <= 2
 
 
 class TestPredict:
     def test_single_training_point_interpolates(self):
-        ds = Dataset(np.array([[0.4]]), np.array([2.0]), np.zeros((1, 0)), unit_bounds(1))
+        ds = Dataset(np.array([[0.4]]), np.array([2.0]))
         model = build_gp(ds, KernelHyperParams(1.0, 1e-6, np.array([0.3])))
         mean, std = predict(model, np.array([0.4]))
         assert abs(mean - 2.0) < 1e-3
@@ -273,7 +269,7 @@ class TestPredict:
         rng = np.random.default_rng(5)
         X = rng.random((6, 2)) * 0.01  # cluster in a corner
         y = rng.uniform(5.0, 6.0, 6)
-        ds = Dataset(X, y, np.zeros((6, 0)), unit_bounds(2))
+        ds = Dataset(X, y)
         hyp = KernelHyperParams(1.5, 0.01, np.array([0.01, 0.01]))
         model = build_gp(ds, hyp)
         mean, std = predict(model, np.array([1.0, 1.0]))  # >> 50 lengthscales away
@@ -292,8 +288,7 @@ class TestPredict:
         np.testing.assert_allclose(std, std_o, rtol=1e-8, atol=1e-10)
 
     def test_dimension_mismatch(self):
-        ds = Dataset(np.array([[0.1, 0.2], [0.8, 0.9]]), np.array([0.0, 1.0]),
-                     np.zeros((2, 0)), unit_bounds(2))
+        ds = Dataset(np.array([[0.1, 0.2], [0.8, 0.9]]), np.array([0.0, 1.0]))
         model = build_gp(ds, KernelHyperParams(1.0, 0.1, np.ones(2)))
         with pytest.raises(DimensionMismatchError):
             predict(model, np.array([0.1, 0.2, 0.3]))
@@ -304,7 +299,7 @@ class TestInvariants:
         rng = np.random.default_rng(23)
         X = rng.random((20, 2))
         X[10:] = X[:10]  # exact duplicates stress the factorization
-        ds = Dataset(X, rng.standard_normal(20), np.zeros((20, 0)), unit_bounds(2))
+        ds = Dataset(X, rng.standard_normal(20))
         model = build_gp(ds, KernelHyperParams(1.0, 1e-6, np.array([0.5, 0.5])))
         K = model.chol_lower @ model.chol_lower.T
         from mace.gp import kernel_matrix
@@ -330,7 +325,7 @@ class TestInvariants:
         rng = np.random.default_rng(37)
         X = rng.random((12, 2))
         y = np.cos(4 * X[:, 0]) + X[:, 1]
-        ds = Dataset(X, y, np.zeros((12, 0)), unit_bounds(2))
+        ds = Dataset(X, y)
         model = build_gp(ds, KernelHyperParams(1.0, 1e-6, np.array([0.4, 0.4])))
         mean, _ = predict(model, X)
         assert np.max(np.abs(mean - y)) < 1e-3
@@ -353,7 +348,7 @@ class TestInvariants:
     def test_standardization_invariance_under_shift(self):
         rng = np.random.default_rng(43)
         ds = random_dataset(rng, 15, 2)
-        shifted = Dataset(ds.X, ds.y + 123.25, ds.C, ds.bounds)
+        shifted = Dataset(ds.X, ds.y + 123.25, ds.C)
         hyp = KernelHyperParams(1.0, 0.1, np.array([0.5, 0.5]))
         Xq = rng.random((20, 2))
         m1, s1 = predict(build_gp(ds, hyp), Xq)
