@@ -38,10 +38,10 @@ class AcqContext:
 
     def __post_init__(self):
         # Written so that NaN fails every check.
-        if not self.xi >= 0:
-            raise ValueError("xi must be non-negative")
-        if not self.nu > 0:
-            raise ValueError("nu must be positive")
+        if not 0 <= self.xi < math.inf:
+            raise ValueError("xi must be finite and non-negative")
+        if not 0 < self.nu < math.inf:
+            raise ValueError("nu must be finite and positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if self.t < 1:

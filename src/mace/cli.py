@@ -337,7 +337,9 @@ def external_evaluate(command, points, n_constraints: int = 0,
             if remaining <= 0:
                 break
             try:
-                item = lines.get(timeout=remaining)
+                # An infinite timeout waits without limit; a longer wait than
+                # TIMEOUT_MAX would overflow the lock's deadline.
+                item = lines.get(timeout=min(remaining, threading.TIMEOUT_MAX))
             except queue.Empty:
                 break
             if item is _EOF:
@@ -360,7 +362,11 @@ def external_evaluate(command, points, n_constraints: int = 0,
                         f"response for id {point_id} has {len(cvals) if isinstance(cvals, list) else 'non-list'}"
                         f" constraint values, expected {n_constraints}"
                     )
-                C[point_id] = [float(v) for v in cvals]
+                try:
+                    C[point_id] = [float(v) for v in cvals]
+                except (TypeError, ValueError) as exc:
+                    raise ProtocolError(f"response for id {point_id} has a non-numeric constraint value: "
+                                        f"{cvals!r}") from exc
             answered.add(point_id)
             y[point_id] = value  # NaN stays a fault for this point only
             _send_next()
@@ -406,7 +412,7 @@ class ExternalEvaluator:
         weakref.finalize(self, _stop_spare, self._spare)
 
     def __call__(self, X_unit: np.ndarray):
-        X_phys = np.vstack([self.problem.denormalize(x) for x in np.atleast_2d(X_unit)])
+        X_phys = self.problem.denormalize(np.atleast_2d(X_unit))
         child = self._spare.pop() if self._spare else self.command
         y, C = external_evaluate(
             child, X_phys,
@@ -458,12 +464,6 @@ def run_single(spec: ExperimentSpec, seed: int, problem: Optional[Problem] = Non
             evaluator.close()
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_run_csv(path, record: RunRecord):
     """One row per evaluator call, faulted points included (flagged, y = nan)."""
     d, nc = record.dim, record.n_constraints
@@ -480,11 +480,8 @@ def write_run_csv(path, record: RunRecord):
         for row, inc in zip(record.evaluations, record.incumbent_trace):
             incumbent = inc.value if inc is not None and inc.feasible else float("nan")
             writer.writerow(
-                [row.iteration, row.eval_index]
-                + [_fmt(float(v)) for v in row.x]
-                + [_fmt(row.y)]
-                + [_fmt(float(v)) for v in row.c]
-                + [int(row.feasible), row.provenance, _fmt(incumbent), _fmt(row.wall_ms)]
+                [row.iteration, row.eval_index, *row.x.tolist(), row.y, *row.c.tolist(),
+                 int(row.feasible), row.provenance, incumbent, row.wall_ms]
             )
 
 
@@ -546,17 +543,10 @@ def run_campaign(spec: ExperimentSpec) -> dict:
     summary = summarize_records(spec, records)
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["run", "seed", "final_best", "final_feasible",
-                         "evals_to_first_feasible", "evals_to_best", "faults"])
+        # The columns of summary.json's runs; csv.writer writes None as an empty cell.
+        writer.writerow(summary["runs"][0])
         for row in summary["runs"]:
-            writer.writerow(
-                [row["run"], row["seed"],
-                 "" if row["final_best"] is None else _fmt(row["final_best"]),
-                 int(row["final_feasible"]),
-                 row["evals_to_first_feasible"] or "",
-                 row["evals_to_best"] or "",
-                 row["faults"]]
-            )
+            writer.writerow(int(v) if isinstance(v, bool) else v for v in row.values())
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -120,13 +120,16 @@ class EvalRecord:
     x: np.ndarray
     y: float
     c: np.ndarray
-    feasible: bool
     provenance: str
     wall_ms: float
 
     @property
     def faulted(self) -> bool:
         return not (np.isfinite(self.y) and np.all(np.isfinite(self.c)))
+
+    @property
+    def feasible(self) -> bool:
+        return not self.faulted and bool(np.all(self.c < 0))
 
 
 @dataclass(frozen=True)
@@ -178,15 +181,12 @@ class RunRecord:
                                          f"{B} points; expected {(B,)} and {(B, self.n_constraints)}")
         incumbent = self.final_incumbent
         for i in range(B):
-            idx = len(self.evaluations)
-            ci = np.asarray(C[i], dtype=float)
-            ok = bool(np.isfinite(y[i])) and bool(np.all(np.isfinite(ci)))
-            feasible = ok and bool(np.all(ci < 0))
-            self.evaluations.append(EvalRecord(iteration, idx, X[i].copy(), float(y[i]), ci.copy(), feasible,
-                                               provenance[i], wall_ms))
-            if ok:
-                cand = Incumbent(point=X[i].copy(), value=float(y[i]), feasible=feasible,
-                                 total_violation=float(np.sum(np.maximum(ci, 0.0))), eval_index=idx)
+            r = EvalRecord(iteration, len(self.evaluations), X[i].copy(), float(y[i]),
+                           np.array(C[i], dtype=float), provenance[i], wall_ms)
+            self.evaluations.append(r)
+            if not r.faulted:
+                cand = Incumbent(point=r.x, value=r.y, feasible=r.feasible,
+                                 total_violation=float(np.sum(np.maximum(r.c, 0.0))), eval_index=r.eval_index)
                 if cand.improves_on(incumbent):
                     incumbent = cand
             self.incumbent_trace.append(incumbent)
@@ -267,6 +267,12 @@ def _constraint_posteriors(constraint_models, X: np.ndarray):
     return means, stds
 
 
+def _feasibility_columns(constraint_models, X: np.ndarray) -> list:
+    """Feasibility objective columns (-PF, naive violation, adaptive violation)."""
+    mu, s = _constraint_posteriors(constraint_models, X)
+    return [-acq.pf(mu, s), acq.naive_violation(mu), acq.adaptive_violation(mu, s)]
+
+
 def build_unconstrained_objectives(model: GpModel, ctx: AcqContext, ensemble=ENSEMBLE_ORDER):
     """Vector objective (LCB, -PI, -EI), restricted to the configured ensemble."""
     coords = _canonical_ensemble(ensemble)
@@ -280,17 +286,14 @@ def build_unconstrained_objectives(model: GpModel, ctx: AcqContext, ensemble=ENS
 
 
 def build_stage1_objectives(constraint_models, dataset: Dataset):
-    """Feasibility-hunting objective (-PF, naive violation, adaptive violation)."""
+    """Feasibility-hunting objective: the feasibility columns of stage 2 alone."""
     if len(constraint_models) < 1:
         raise DimensionMismatchError("stage 1 requires at least one constraint model")
     if bool(np.any(dataset.feasible_mask())):
         raise StageError("stage 1 objectives requested but the dataset has a feasible point")
 
     def objectives(X: np.ndarray) -> np.ndarray:
-        mu, s = _constraint_posteriors(constraint_models, np.atleast_2d(X))
-        return np.column_stack(
-            [-acq.pf(mu, s), acq.naive_violation(mu), acq.adaptive_violation(mu, s)]
-        )
+        return np.column_stack(_feasibility_columns(constraint_models, np.atleast_2d(X)))
 
     return objectives
 
@@ -318,10 +321,7 @@ def build_stage2_objectives(
     def objectives(X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
         mu, s = predict(objective_model, X)
-        cmu, cs = _constraint_posteriors(constraint_models, X)
-        cols = _acq_columns(mu, s, coords, beta, ctx)
-        cols.extend([-acq.pf(cmu, cs), acq.naive_violation(cmu), acq.adaptive_violation(cmu, cs)])
-        return np.column_stack(cols)
+        return np.column_stack(_acq_columns(mu, s, coords, beta, ctx) + _feasibility_columns(constraint_models, X))
 
     return objectives
 

@@ -176,83 +176,75 @@ def _amp_constraint_spread(x: np.ndarray) -> float:
     return float(abs(np.mean(x[:5]) - np.mean(x[5:])) - 0.25)
 
 
+def _constrained_branin() -> Problem:
+    branin = builtin("branin")
+
+    def disc(x):
+        u = branin.normalize(x)
+        return float((u[0] - 0.5) ** 2 + (u[1] - 0.5) ** 2 - 0.25)
+
+    # The unconstrained minimizer sits inside the disc, so the optimum is unchanged.
+    return Problem(
+        name="constrained-branin",
+        dim=2,
+        lower=branin.lower,
+        upper=branin.upper,
+        objective=branin.objective,
+        constraints=(disc,),
+        known_optimum=branin.known_optimum,
+    )
+
+
+# Factories rather than instances, so that each lookup builds a new Problem.
+_BUILTINS = {
+    "branin": lambda: Problem(
+        name="branin",
+        dim=2,
+        lower=np.array([-5.0, 0.0]),
+        upper=np.array([10.0, 15.0]),
+        objective=_branin,
+        known_optimum=0.39788735772973816,
+    ),
+    "hartmann6": lambda: Problem(
+        name="hartmann6",
+        dim=6,
+        lower=np.zeros(6),
+        upper=np.ones(6),
+        objective=_hartmann6,
+        known_optimum=-3.322368011391339,
+    ),
+    "sphere10": lambda: Problem(
+        name="sphere10",
+        dim=10,
+        lower=-np.ones(10),
+        upper=np.ones(10),
+        objective=lambda x: float(np.sum(x**2)),
+        known_optimum=0.0,
+    ),
+    "ring-constrained-2d": lambda: Problem(
+        name="ring-constrained-2d",
+        dim=2,
+        lower=np.zeros(2),
+        upper=np.ones(2),
+        objective=_ring_objective,
+        constraints=(_ring_constraint,),
+        known_optimum=_ring_optimum(),
+    ),
+    "constrained-branin": _constrained_branin,
+    "amp-mimic-10d": lambda: Problem(
+        name="amp-mimic-10d",
+        dim=10,
+        lower=np.zeros(10),
+        upper=np.ones(10),
+        objective=fom_weighted_sum(_amp_mimic_spec()),
+        constraints=(_amp_constraint_budget, _amp_constraint_spread),
+    ),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin(name: str) -> Problem:
-    """Look up a built-in problem by name.
-
-    Available: branin, hartmann6, sphere10, ring-constrained-2d,
-    constrained-branin, amp-mimic-10d.
-    """
-    if name == "branin":
-        return Problem(
-            name="branin",
-            dim=2,
-            lower=np.array([-5.0, 0.0]),
-            upper=np.array([10.0, 15.0]),
-            objective=_branin,
-            known_optimum=0.39788735772973816,
-        )
-    if name == "hartmann6":
-        return Problem(
-            name="hartmann6",
-            dim=6,
-            lower=np.zeros(6),
-            upper=np.ones(6),
-            objective=_hartmann6,
-            known_optimum=-3.322368011391339,
-        )
-    if name == "sphere10":
-        return Problem(
-            name="sphere10",
-            dim=10,
-            lower=-np.ones(10),
-            upper=np.ones(10),
-            objective=lambda x: float(np.sum(x**2)),
-            known_optimum=0.0,
-        )
-    if name == "ring-constrained-2d":
-        return Problem(
-            name="ring-constrained-2d",
-            dim=2,
-            lower=np.zeros(2),
-            upper=np.ones(2),
-            objective=_ring_objective,
-            constraints=(_ring_constraint,),
-            known_optimum=_ring_optimum(),
-        )
-    if name == "constrained-branin":
-        branin = builtin("branin")
-
-        def disc(x):
-            u = branin.normalize(x)
-            return float((u[0] - 0.5) ** 2 + (u[1] - 0.5) ** 2 - 0.25)
-
-        # The unconstrained minimizer sits inside the disc, so the optimum is unchanged.
-        return Problem(
-            name="constrained-branin",
-            dim=2,
-            lower=branin.lower,
-            upper=branin.upper,
-            objective=branin.objective,
-            constraints=(disc,),
-            known_optimum=branin.known_optimum,
-        )
-    if name == "amp-mimic-10d":
-        return Problem(
-            name="amp-mimic-10d",
-            dim=10,
-            lower=np.zeros(10),
-            upper=np.ones(10),
-            objective=fom_weighted_sum(_amp_mimic_spec()),
-            constraints=(_amp_constraint_budget, _amp_constraint_spread),
-        )
-    raise KeyError(f"unknown builtin problem: {name!r}")
-
-
-BUILTIN_NAMES = (
-    "branin",
-    "hartmann6",
-    "sphere10",
-    "ring-constrained-2d",
-    "constrained-branin",
-    "amp-mimic-10d",
-)
+    """A new instance of the built-in problem ``name``, one of :data:`BUILTIN_NAMES`."""
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown builtin problem: {name!r}")
+    return _BUILTINS[name]()

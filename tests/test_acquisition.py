@@ -238,7 +238,11 @@ class TestContextValidation:
         with pytest.raises(ValueError):
             AcqContext(tau=0.0, d=1, xi=-0.1)
         with pytest.raises(ValueError):
+            AcqContext(tau=0.0, d=1, xi=math.inf)
+        with pytest.raises(ValueError):
             AcqContext(tau=0.0, d=1, nu=0.0)
+        with pytest.raises(ValueError):
+            AcqContext(tau=0.0, d=1, nu=math.inf)
         with pytest.raises(ValueError):
             AcqContext(tau=0.0, d=1, delta=1.0)
         with pytest.raises(ValueError):

@@ -63,6 +63,8 @@ for line in sys.stdin:
     resp = {"id": i, "y": y}
     if mode == "constrained":
         resp["c"] = [x[0] - 0.5]
+    if mode in ("c-text", "c-null"):
+        resp["c"] = ["x"] if mode == "c-text" else [None]
     print(json.dumps(resp), flush=True)
     if mode == "dup" and i == 0:
         print(json.dumps(resp), flush=True)
@@ -154,6 +156,7 @@ class TestParseConfig:
         ("budget", "abc"), ("xi", "x"), ("max_parallel", "q"), ("ensemble", 5), ("batch", 2.9),
         ("seed", True), ("bounds", [[0.0, "x"], [0.0, 1.0]]), ("bounds", [[1.0, 0.0], [0.0, 1.0]]),
         ("ensemble", ["lcb", "ucb"]), ("ensemble", []), ("xi", -1), ("nu", 0), ("delta", 1),
+        ("xi", float("inf")), ("nu", float("inf")),
     ])
     def test_malformed_value_names_key(self, key, value, tmp_path):
         config = {"problem": "cmd:true", "dim": 2, "budget": 30, key: value}
@@ -200,6 +203,16 @@ class TestExternalEvaluate:
         y, _ = external_evaluate(child("die"), pts, timeout=5)
         assert np.isfinite(y[0])
         assert np.isnan(y[1]) and np.isnan(y[2])
+
+    @pytest.mark.parametrize("mode", ["c-text", "c-null"])
+    def test_non_numeric_constraint_raises_protocol_error(self, child, mode):
+        with pytest.raises(ProtocolError, match="id 0"):
+            external_evaluate(child(mode), np.array([[0.1, 0.0]]), n_constraints=1, timeout=30)
+
+    def test_infinite_timeout_waits_without_limit(self, child):
+        pts = np.array([[0.1, 0.2], [0.3, 0.4]])
+        y, _ = external_evaluate(child("echo"), pts, timeout=float("inf"))
+        np.testing.assert_allclose(y, pts.sum(axis=1))
 
     def test_malformed_line_raises_protocol_error(self, child):
         pts = np.array([[0.1, 0.0], [0.2, 0.0]])
@@ -398,6 +411,28 @@ class TestCampaign:
             finals.append(min(ys))
         assert summary["final_best"]["mean"] == pytest.approx(float(np.mean(finals)), abs=1e-9)
         assert summary["final_best"]["best"] == pytest.approx(min(finals), abs=1e-9)
+
+    def test_summary_csv_holds_summary_json_runs(self, tmp_path):
+        # At seed 1 the first ring run ends infeasible, so its row has empty cells.
+        spec = parse_config(None, dict(problem="ring-constrained-2d", budget=40, batch=5, n_init=20,
+                                       repeats=2, seed=1, out_dir=str(tmp_path / "ring")))
+        summary = run_campaign(spec)
+        with open(tmp_path / "ring" / "summary.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == list(summary["runs"][0])
+        assert len(rows) == len(summary["runs"])
+        assert any(run["final_best"] is None for run in summary["runs"])
+        for cells, run in zip(rows, summary["runs"]):
+            assert len(cells) == len(run)
+            for cell, value in zip(cells, run.values()):
+                if value is None:
+                    assert cell == ""
+                elif isinstance(value, bool):
+                    assert cell == str(int(value))
+                elif isinstance(value, float):
+                    assert float(cell) == value
+                else:
+                    assert cell == str(value)
 
     def test_external_problem_end_to_end(self, child, tmp_path):
         spec = parse_config(

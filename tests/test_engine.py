@@ -1,5 +1,6 @@
 """Engine tests: objective builders, pruning, batch sampling and the run loops."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import mace
 from mace import acquisition as acq
 from mace import gp
 from mace.acquisition import AcqContext
+from mace.cli import write_run_csv
 from mace.demo import DemoConfig, ParetoSet
 from mace.engine import (
     RunConfig,
@@ -395,7 +397,7 @@ class TestRunUnconstrained:
             pts = it.objectives[sampled]
             assert len({tuple(p) for p in map(tuple, pts)}) == len(sampled)
 
-    def test_faulted_points_recorded_and_run_continues(self):
+    def test_faulted_points_recorded_and_run_continues(self, tmp_path):
         problem = builtin("branin")
         base = make_evaluator(problem)
         count = [0]
@@ -413,7 +415,13 @@ class TestRunUnconstrained:
         assert len(rec.evaluations) == cfg.total_evaluations
         faults = [r for r in rec.evaluations if r.faulted]
         assert len(faults) == cfg.total_evaluations // 5
+        # Their C rows are empty, so all(c < 0) alone would call them feasible.
+        assert not any(r.feasible for r in faults)
         assert rec.final_incumbent is not None
+        write_run_csv(tmp_path / "run.csv", rec)
+        with open(tmp_path / "run.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["feasible"] for row in rows if row["y"] == "nan"] == ["0"] * len(faults)
 
     def test_faulted_initial_design_is_a_defined_error(self):
         problem = builtin("branin")
