@@ -48,6 +48,8 @@ class AcqContext:
             raise ValueError("t is 1-based")
         if self.d < 1:
             raise ValueError("d must be at least 1")
+        if not math.isfinite(beta_schedule(self)):
+            raise ValueError("nu must leave the LCB beta finite")
 
 
 def std_normal_cdf(z):
@@ -84,7 +86,9 @@ def ei(mean, stddev, ctx: AcqContext):
     """
     s_raw = np.asarray(stddev, dtype=float)
     lam, s = _improvement_margin(mean, s_raw, ctx)
-    val = s * (lam * std_normal_cdf(lam) + std_normal_pdf(lam))
+    cdf = std_normal_cdf(lam)
+    # lam * cdf(lam) tends to 0 where cdf underflows; at lam = -inf the product would be NaN.
+    val = s * (np.where(cdf > 0, lam, 0.0) * cdf + std_normal_pdf(lam))
     margin = ctx.tau - ctx.xi - np.asarray(mean, dtype=float)
     val = np.where(s_raw > 0, val, np.maximum(margin, 0.0))
     out = np.maximum(val, 0.0)

@@ -3,7 +3,7 @@
 Configuration is JSON (file plus flag overrides), run traces are CSV, and the
 external-evaluator wire protocol is JSON lines over a child process's
 stdin/stdout: one ``{"id": k, "x": [...]}`` request per point, answered by
-``{"id": k, "y": <real>, "c": [<reals>]}`` lines in any order.
+``{"id": k, "y": <number>, "c": [<numbers>]}`` lines in any order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .acquisition import AcqContext
 from .demo import DemoConfig
 from .engine import (
     ENSEMBLE_ORDER,
@@ -69,9 +68,6 @@ class ExperimentSpec:
     ensemble: list = _key(("pi", "ei", "lcb"), f"comma list from {','.join(ENSEMBLE_ORDER)}")
     out_dir: str = _key("mace-results", flag="--out")
     max_parallel: Optional[int] = _key(None, "cap on in-flight external evaluations per batch", low=1)
-    xi: float = RunConfig.xi
-    nu: float = RunConfig.nu
-    delta: float = RunConfig.delta
     rho: float = _key(RunConfig.rho, low=0)
     demo_population: int = _key(DemoConfig.population_size, low=4)
     demo_evaluations: int = _key(DemoConfig.max_evaluations, low=4)
@@ -207,11 +203,6 @@ def parse_config(config_path=None, overrides: Optional[dict] = None) -> Experime
         _canonical_ensemble(merged["ensemble"])
     except ValueError as exc:
         raise ConfigError(f"ensemble: {exc}") from None
-    for key in ("xi", "nu", "delta"):  # AcqContext owns their rules
-        try:
-            AcqContext(tau=0.0, d=1, **{key: merged[key]})
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
     # The spec keeps its own order, which is what summaries record.
     merged["ensemble"] = [str(e).lower() for e in merged["ensemble"]]
 
@@ -269,6 +260,17 @@ def _stop_spare(spare: list) -> None:
         proc.wait()
         proc.stdin.close()
         proc.stdout.close()
+
+
+def _json_number(value) -> float:
+    """A value that ``json.loads`` read as a number (``NaN`` and ``Infinity`` included), as a float.
+
+    A bool or a string is not a number and raises TypeError; an integer too
+    large for a float raises OverflowError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a JSON number: {value!r}")
+    return float(value)
 
 
 def external_evaluate(command, points, n_constraints: int = 0,
@@ -350,11 +352,15 @@ def external_evaluate(command, points, n_constraints: int = 0,
             try:
                 msg = json.loads(text)
                 point_id = int(msg["id"])
-                value = float(msg["y"])
+                value = msg["y"]
             except (ValueError, TypeError, KeyError) as exc:
                 raise ProtocolError(f"malformed evaluator response: {text!r}") from exc
             if point_id < 0 or point_id >= n or point_id in answered or point_id >= sent:
                 raise ProtocolError(f"unexpected response id {point_id}")
+            try:
+                value = _json_number(value)
+            except (TypeError, OverflowError) as exc:
+                raise ProtocolError(f"response for id {point_id} has a non-numeric y: {value!r}") from exc
             cvals = msg.get("c", [])
             if n_constraints:
                 if not isinstance(cvals, list) or len(cvals) != n_constraints:
@@ -363,8 +369,8 @@ def external_evaluate(command, points, n_constraints: int = 0,
                         f" constraint values, expected {n_constraints}"
                     )
                 try:
-                    C[point_id] = [float(v) for v in cvals]
-                except (TypeError, ValueError) as exc:
+                    C[point_id] = [_json_number(v) for v in cvals]
+                except (TypeError, OverflowError) as exc:
                     raise ProtocolError(f"response for id {point_id} has a non-numeric constraint value: "
                                         f"{cvals!r}") from exc
             answered.add(point_id)

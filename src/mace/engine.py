@@ -40,9 +40,6 @@ class RunConfig:
     n_iter: int
     batch_size: int
     n_init: int = 20
-    xi: float = AcqContext.xi
-    nu: float = AcqContext.nu
-    delta: float = AcqContext.delta
     rho: float = 0.05
     demo: DemoConfig = field(default_factory=DemoConfig)
     seed: int = 0
@@ -54,8 +51,6 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ensemble", _canonical_ensemble(self.ensemble))
-        # AcqContext owns the xi/nu/delta rules; check them before any point is evaluated.
-        AcqContext(tau=0.0, d=1, xi=self.xi, nu=self.nu, delta=self.delta)
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.n_init < 2:
@@ -454,7 +449,7 @@ def _mace_proposer(problem: Problem, config: RunConfig, n_c: int):
         else:
             objective_model = fit_gp(ds, restarts=config.gp_restarts, seed=obj_seed)
             tau = float(ds.y[feasible].min()) if feasible.any() else float(ds.y.min())
-            ctx = AcqContext(tau=tau, d=problem.dim, t=t, xi=config.xi, nu=config.nu, delta=config.delta)
+            ctx = AcqContext(tau=tau, d=problem.dim, t=t)
             if stage == "stage2":
                 objective_fn = build_stage2_objectives(objective_model, constraint_models, ctx, ds,
                                                        config.ensemble, require_feasible=not config.one_stage)

@@ -117,6 +117,12 @@ class TestEI:
         ctx = AcqContext(tau=tau, d=1)
         assert ei(mean - 0.5, stddev, ctx) >= ei(mean, stddev, ctx)
 
+    def test_finite_where_the_margin_overflows(self):
+        # At stddev 1e-3 the margin is -inf, where lam * cdf(lam) takes its limit 0.
+        ctx = AcqContext(tau=0.0, d=1, xi=1e308)
+        with np.errstate(over="ignore"):
+            assert ei(np.array([0.0, 1.0]), np.array([1.0, 1e-3]), ctx).tolist() == [0.0, 0.0]
+
 
 class TestBetaSchedule:
     def test_reference_value(self):
@@ -243,6 +249,8 @@ class TestContextValidation:
             AcqContext(tau=0.0, d=1, nu=0.0)
         with pytest.raises(ValueError):
             AcqContext(tau=0.0, d=1, nu=math.inf)
+        with pytest.raises(ValueError, match="beta"):
+            AcqContext(tau=0.0, d=1, nu=1e308)  # finite, but beta overflows
         with pytest.raises(ValueError):
             AcqContext(tau=0.0, d=1, delta=1.0)
         with pytest.raises(ValueError):

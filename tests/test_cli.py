@@ -60,11 +60,13 @@ for line in sys.stdin:
     if mode == "branin":
         b, c, s = 5.1 / (4 * math.pi**2), 5 / math.pi, 1 / (8 * math.pi)
         y = (x[1] - b * x[0] ** 2 + c * x[0] - 6) ** 2 + 10 * (1 - s) * math.cos(x[0]) + 10
-    resp = {"id": i, "y": y}
+    resp = {"id": i, "y": {"y-bool": True, "y-text": "1.5"}.get(mode, y)}
     if mode == "constrained":
         resp["c"] = [x[0] - 0.5]
-    if mode in ("c-text", "c-null"):
-        resp["c"] = ["x"] if mode == "c-text" else [None]
+    bad_c = {"c-text": ["x"], "c-null": [None], "c-bool": [True], "c-numtext": ["-2"], "c-inf": [float("inf")],
+             "c-two": [0.0, 0.0], "c-scalar": 1}
+    if mode in bad_c:
+        resp["c"] = bad_c[mode]
     print(json.dumps(resp), flush=True)
     if mode == "dup" and i == 0:
         print(json.dumps(resp), flush=True)
@@ -102,7 +104,7 @@ def tiny_overrides(**extra):
 class TestParseConfig:
     def test_defaults_from_flags_only(self):
         spec = parse_config(None, {"problem": "branin", "budget": 100, "batch": 5})
-        assert spec.xi == 0.001 and spec.nu == 0.5 and spec.delta == 0.05 and spec.rho == 0.05
+        assert spec.rho == 0.05
         assert spec.demo_population == 100 and spec.demo_evaluations == 2000
         assert spec.n_init == 20 and spec.repeats == 20
         assert spec.mode == "unconstrained" and spec.algorithm == "mace"
@@ -153,10 +155,9 @@ class TestParseConfig:
             parse_config(None, {"problem": "branin", "budget": 10, "n_init": 20})
 
     @pytest.mark.parametrize("key, value", [
-        ("budget", "abc"), ("xi", "x"), ("max_parallel", "q"), ("ensemble", 5), ("batch", 2.9),
+        ("budget", "abc"), ("rho", "x"), ("max_parallel", "q"), ("ensemble", 5), ("batch", 2.9),
         ("seed", True), ("bounds", [[0.0, "x"], [0.0, 1.0]]), ("bounds", [[1.0, 0.0], [0.0, 1.0]]),
-        ("ensemble", ["lcb", "ucb"]), ("ensemble", []), ("xi", -1), ("nu", 0), ("delta", 1),
-        ("xi", float("inf")), ("nu", float("inf")),
+        ("ensemble", ["lcb", "ucb"]), ("ensemble", []),
     ])
     def test_malformed_value_names_key(self, key, value, tmp_path):
         config = {"problem": "cmd:true", "dim": 2, "budget": 30, key: value}
@@ -170,6 +171,32 @@ class TestParseConfig:
 
     def test_integral_float_accepted_for_integer_key(self):
         assert parse_config(None, {"problem": "branin", "budget": 30.0, "batch": "3"}).batch == 3
+
+    def test_acquisition_constants_are_unknown_keys(self, tmp_path, capsys):
+        # xi, nu and delta are AcqContext's defaults; no config file or flag sets them.
+        path = tmp_path / "c.json"
+        for key, text in (("xi", "0.01"), ("nu", "0.5"), ("delta", "0.1")):
+            path.write_text(json.dumps({"problem": "branin", "budget": 30, key: float(text)}))
+            for argv, named in ((["run", "--config", str(path)], f"unknown key: {key}"),
+                                (["run", "--problem", "branin", "--budget", "30", f"--{key}", text],
+                                 f"unrecognized arguments: --{key}")):
+                with pytest.raises(SystemExit) as exit_info:
+                    main(argv)
+                assert exit_info.value.code == 2
+                assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "config"), ("{not json", "config"), ("[1, 2]", "JSON object"),
+    ], ids=["missing", "invalid-json", "non-object"])
+    def test_unusable_config_file(self, content, message, tmp_path):
+        path = tmp_path / "c.json"  # missing when content is None
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", str(path)])
+        assert exit_info.value.code == 2
 
 
 class TestExternalEvaluate:
@@ -204,10 +231,25 @@ class TestExternalEvaluate:
         assert np.isfinite(y[0])
         assert np.isnan(y[1]) and np.isnan(y[2])
 
-    @pytest.mark.parametrize("mode", ["c-text", "c-null"])
+    @pytest.mark.parametrize("mode", ["c-text", "c-null", "c-bool", "c-numtext"])
     def test_non_numeric_constraint_raises_protocol_error(self, child, mode):
         with pytest.raises(ProtocolError, match="id 0"):
             external_evaluate(child(mode), np.array([[0.1, 0.0]]), n_constraints=1, timeout=30)
+
+    @pytest.mark.parametrize("mode", ["y-bool", "y-text"])
+    def test_non_numeric_y_raises_protocol_error(self, child, mode):
+        with pytest.raises(ProtocolError, match="id 0"):
+            external_evaluate(child(mode), np.array([[0.1, 0.0]]), timeout=30)
+
+    @pytest.mark.parametrize("mode", ["c-two", "c-scalar"])
+    def test_wrong_constraint_count_raises_protocol_error(self, child, mode):
+        with pytest.raises(ProtocolError, match="id 0"):
+            external_evaluate(child(mode), np.array([[0.1, 0.0]]), n_constraints=1, timeout=30)
+
+    def test_infinity_token_is_a_number(self, child):
+        # It reaches the record, which faults the point.
+        _, C = external_evaluate(child("c-inf"), np.array([[0.1, 0.0]]), n_constraints=1, timeout=30)
+        assert C[0, 0] == np.inf
 
     def test_infinite_timeout_waits_without_limit(self, child):
         pts = np.array([[0.1, 0.2], [0.3, 0.4]])
@@ -491,9 +533,6 @@ SURFACE = [
     ("ensemble", "--ensemble", "ei,lcb", ["ei", "lcb"], BASE),
     ("out_dir", "--out", "elsewhere", "elsewhere", BASE),
     ("max_parallel", "--max-parallel", "2", 2, BASE),
-    ("xi", "--xi", "0.01", 0.01, BASE),
-    ("nu", "--nu", "0.25", 0.25, BASE),
-    ("delta", "--delta", "0.1", 0.1, BASE),
     ("rho", "--rho", "0.1", 0.1, BASE),
     ("demo_population", "--demo-population", "20", 20, BASE),
     ("demo_evaluations", "--demo-evaluations", "4000", 4000, BASE),

@@ -632,12 +632,6 @@ class TestRunConfig:
             RunConfig(n_iter=1, batch_size=1, rho=-0.1)
         with pytest.raises(ValueError, match="rho"):
             RunConfig(n_iter=1, batch_size=1, rho=float("nan"))
-        with pytest.raises(ValueError, match="xi"):
-            RunConfig(n_iter=1, batch_size=1, xi=-1.0)
-        with pytest.raises(ValueError, match="nu"):
-            RunConfig(n_iter=1, batch_size=1, nu=0.0)
-        with pytest.raises(ValueError, match="delta"):
-            RunConfig(n_iter=1, batch_size=1, delta=1.0)
         for restarts in (0, -3):
             with pytest.raises(ValueError, match="gp_restarts"):
                 RunConfig(n_iter=1, batch_size=1, gp_restarts=restarts)
@@ -673,6 +667,11 @@ class TestInitialDesign:
             assert np.all((X >= 0.0) & (X < 1.0))
             strata = np.sort(np.floor(X * n).astype(int), axis=0)
             assert np.array_equal(strata, np.tile(np.arange(n)[:, None], (1, d)))
+
+    def test_uniform_is_the_run_generators_first_draw(self):
+        config = RunConfig(n_iter=0, batch_size=1, n_init=7, init_design="uniform")
+        got = _initial_design(config, 3, np.random.default_rng(5))
+        assert got.tobytes() == np.random.default_rng(5).random((7, 3)).tobytes()
 
     def test_import_does_not_load_scipy_stats(self):
         src = str(Path(mace.__file__).resolve().parent.parent)
