@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import queue
+import os
+import select
+import selectors
 import shlex
 import subprocess
-import threading
 import time
 import weakref
 from dataclasses import asdict, dataclass, field, fields
@@ -67,7 +68,6 @@ class ExperimentSpec:
     # Every member, in the order campaign summaries have always recorded.
     ensemble: list = _key(("pi", "ei", "lcb"), f"comma list from {','.join(ENSEMBLE_ORDER)}")
     out_dir: str = _key("mace-results", flag="--out")
-    max_parallel: Optional[int] = _key(None, "cap on in-flight external evaluations per batch", low=1)
     rho: float = _key(RunConfig.rho, low=0)
     demo_population: int = _key(DemoConfig.population_size, low=4)
     demo_evaluations: int = _key(DemoConfig.max_evaluations, low=4)
@@ -76,7 +76,7 @@ class ExperimentSpec:
     dim: Optional[int] = _key(None, "dimension of a cmd: problem", low=1)
     n_constraints: Optional[int] = _key(None, "constraint count of a cmd: problem", low=0, flag="--nc")
     bounds: Optional[list] = None  # a [lower, upper] pair per dimension; no flag sets it
-    timeout: float = _key(300.0, "per-point external evaluation timeout in seconds")
+    timeout: float = _key(300.0, "seconds an external evaluator has for each batch")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -243,23 +243,28 @@ def resolve_problem(spec: ExperimentSpec) -> Problem:
 def _start_child(command) -> subprocess.Popen:
     """Start an evaluator child for one batch; it gets no request until :func:`external_evaluate`."""
     cmd = shlex.split(command) if isinstance(command, str) else list(command)
-    return subprocess.Popen(
-        cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL, text=True,
-    )
+    return subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+
+
+def _reap(proc: subprocess.Popen) -> None:
+    """Kill ``proc`` unless it has exited, wait for it and close its pipes.
+
+    Nothing is buffered in the pipes' file objects, so closing them neither
+    blocks nor raises.
+    """
+    proc.kill()
+    proc.wait()
+    proc.stdin.close()
+    proc.stdout.close()
 
 
 def _stop_spare(spare: list) -> None:
-    """Kill, reap and close the pipes of the unused child in ``spare``, if any.
+    """Stop the unused child in ``spare``, if any.
 
     It was sent no request, so it gets no EOF either.
     """
     while spare:
-        proc = spare.pop()
-        proc.kill()
-        proc.wait()
-        proc.stdin.close()
-        proc.stdout.close()
+        _reap(spare.pop())
 
 
 def _json_number(value) -> float:
@@ -273,20 +278,56 @@ def _json_number(value) -> float:
     return float(value)
 
 
-def external_evaluate(command, points, n_constraints: int = 0,
-                      timeout: float = ExperimentSpec.timeout, max_parallel: Optional[int] = None):
+def _parse_response(line: bytes, sent: int, answered: set, n_constraints: int):
+    """The id, y and constraint values of one response line.
+
+    Raises :class:`ProtocolError` for a line that is not UTF-8 JSON, an id
+    that is not a JSON integer naming a request already written and not yet
+    answered, or a ``y`` or ``c`` that breaks the protocol.
+    """
+    try:
+        msg = json.loads(line.decode())
+        point_id, value = msg["id"], msg["y"]
+    except (ValueError, TypeError, KeyError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ProtocolError(f"malformed evaluator response: {line!r}") from exc
+    if type(point_id) is not int or not 0 <= point_id < sent or point_id in answered:
+        raise ProtocolError(f"unexpected response id {point_id!r}")
+    try:
+        value = _json_number(value)
+    except (TypeError, OverflowError) as exc:
+        raise ProtocolError(f"response for id {point_id} has a non-numeric y: {value!r}") from exc
+    if not n_constraints:
+        return point_id, value, []
+    cvals = msg.get("c", [])
+    if not isinstance(cvals, list) or len(cvals) != n_constraints:
+        raise ProtocolError(
+            f"response for id {point_id} has {len(cvals) if isinstance(cvals, list) else 'non-list'}"
+            f" constraint values, expected {n_constraints}"
+        )
+    try:
+        return point_id, value, [_json_number(v) for v in cvals]
+    except (TypeError, OverflowError) as exc:
+        raise ProtocolError(f"response for id {point_id} has a non-numeric constraint value: "
+                            f"{cvals!r}") from exc
+
+
+# The longest single wait for the child, in seconds: epoll rejects waits above
+# INT_MAX milliseconds, so an infinite or huge timeout waits in slices.
+_WAIT_SLICE = 3600.0
+
+
+def external_evaluate(command, points, n_constraints: int = 0, timeout: float = ExperimentSpec.timeout):
     """Evaluate a batch of points through a child process.
 
     ``command`` is a shell-style string or an argument list to start the
     child from, or a child from :func:`_start_child` that has had no request
     yet.  Either way the child is reaped before this returns or raises.
 
-    Requests are written as JSON lines, at most ``max_parallel`` outstanding at
-    a time (all at once by default).  Each point has ``timeout`` seconds from
-    when its request is sent; once the oldest unanswered point runs out of
-    time, it and every other point not yet answered are faulted (NaN), as are
-    points the child never answers before exiting.  Malformed responses raise
-    :class:`ProtocolError`.
+    All requests go out at once as JSON lines, and the batch has ``timeout``
+    seconds from when the first is written, writes included.  Points not
+    answered by then, or before the child closes its output, are faulted
+    (NaN), as are points whose requests could not be written.  Malformed
+    responses raise :class:`ProtocolError`.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
@@ -294,104 +335,46 @@ def external_evaluate(command, points, n_constraints: int = 0,
     C = np.full((n, n_constraints), np.nan)
 
     proc = command if isinstance(command, subprocess.Popen) else _start_child(command)
-
-    lines: queue.Queue = queue.Queue()
-    _EOF = object()
-
-    def _reader():
-        assert proc.stdout is not None
-        for line in proc.stdout:
-            lines.put(line)
-        lines.put(_EOF)
-
-    reader = threading.Thread(target=_reader, daemon=True)
-    reader.start()
-
-    window = n if max_parallel is None else max(1, min(n, max_parallel))
-    sent = 0
-    sent_at: list[float] = []  # monotonic send time of each request, by id
-    pipe_open = True
+    requests = "".join(json.dumps({"id": i, "x": [float(v) for v in p]}) + "\n"
+                       for i, p in enumerate(points)).encode()
+    written = sent = 0  # bytes written, and requests written in full
+    partial = b""  # the start of a response line not yet ended
     answered: set[int] = set()
-
-    def _send_next():
-        nonlocal sent, pipe_open
-        if sent >= n or not pipe_open or proc.stdin is None:
-            return
-        payload = json.dumps({"id": sent, "x": [float(v) for v in points[sent]]})
-        try:
-            proc.stdin.write(payload + "\n")
-            proc.stdin.flush()
-            sent_at.append(time.monotonic())
-            sent += 1
-            if sent == n:
-                proc.stdin.close()
-        except (BrokenPipeError, OSError):
-            pipe_open = False  # child is gone; the unsent points stay faulted
-
+    deadline = time.monotonic() + timeout
     try:
-        for _ in range(window):
-            _send_next()
-        oldest = 0  # lowest id not yet answered; ids are sent in order
-        while len(answered) < sent:
-            while oldest in answered:
-                oldest += 1
-            remaining = sent_at[oldest] + timeout - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                # An infinite timeout waits without limit; a longer wait than
-                # TIMEOUT_MAX would overflow the lock's deadline.
-                item = lines.get(timeout=min(remaining, threading.TIMEOUT_MAX))
-            except queue.Empty:
-                break
-            if item is _EOF:
-                break
-            text = item.strip()
-            if not text:
-                continue
-            try:
-                msg = json.loads(text)
-                point_id = int(msg["id"])
-                value = msg["y"]
-            except (ValueError, TypeError, KeyError) as exc:
-                raise ProtocolError(f"malformed evaluator response: {text!r}") from exc
-            if point_id < 0 or point_id >= n or point_id in answered or point_id >= sent:
-                raise ProtocolError(f"unexpected response id {point_id}")
-            try:
-                value = _json_number(value)
-            except (TypeError, OverflowError) as exc:
-                raise ProtocolError(f"response for id {point_id} has a non-numeric y: {value!r}") from exc
-            cvals = msg.get("c", [])
-            if n_constraints:
-                if not isinstance(cvals, list) or len(cvals) != n_constraints:
-                    raise ProtocolError(
-                        f"response for id {point_id} has {len(cvals) if isinstance(cvals, list) else 'non-list'}"
-                        f" constraint values, expected {n_constraints}"
-                    )
-                try:
-                    C[point_id] = [_json_number(v) for v in cvals]
-                except (TypeError, OverflowError) as exc:
-                    raise ProtocolError(f"response for id {point_id} has a non-numeric constraint value: "
-                                        f"{cvals!r}") from exc
-            answered.add(point_id)
-            y[point_id] = value  # NaN stays a fault for this point only
-            _send_next()
+        with selectors.DefaultSelector() as selector:
+            selector.register(proc.stdin, selectors.EVENT_WRITE)
+            selector.register(proc.stdout, selectors.EVENT_READ)
+            while len(answered) < n and selector.get_map():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                for key, _ in selector.select(min(remaining, _WAIT_SLICE)):
+                    if key.fileobj is proc.stdin:
+                        # A writable pipe takes PIPE_BUF bytes without blocking.
+                        try:
+                            written += os.write(proc.stdin.fileno(), requests[written:written + select.PIPE_BUF])
+                        except BrokenPipeError:
+                            written = len(requests)  # the child is gone; the unsent points stay faulted
+                        else:
+                            sent = requests.count(b"\n", 0, written)
+                        if written == len(requests):
+                            selector.unregister(proc.stdin)
+                            proc.stdin.close()
+                    else:
+                        chunk = os.read(proc.stdout.fileno(), 65536)
+                        lines = (partial + chunk).split(b"\n")
+                        if chunk:
+                            partial = lines.pop()
+                        else:  # EOF: what is left is the last line
+                            selector.unregister(proc.stdout)
+                        for line in filter(None, map(bytes.strip, lines)):
+                            point_id, value, cvals = _parse_response(line, sent, answered, n_constraints)
+                            answered.add(point_id)
+                            y[point_id] = value  # NaN stays a fault for this point only
+                            C[point_id] = cvals
     finally:
-        if proc.poll() is None:
-            proc.kill()
-        proc.wait()
-        # The child is gone, so the reader reaches EOF; the bound only guards
-        # against a grandchild that inherited the pipe and keeps it open.
-        # Closing stdout under a running reader would block on its lock.
-        reader.join(timeout=5.0)
-        if not reader.is_alive():
-            proc.stdout.close()
-        if not proc.stdin.closed:
-            try:
-                proc.stdin.close()
-            except BrokenPipeError:
-                pass  # unsent bytes of a failed write; the fd is closed regardless
-
+        _reap(proc)
     return y, C
 
 
@@ -410,7 +393,6 @@ class ExternalEvaluator:
         self.problem = problem
         self.n_constraints = problem.n_constraints
         self.timeout = spec.timeout
-        self.max_parallel = spec.max_parallel
         self._calls_left = 1 + spec.n_iter
         # At most one started child, not yet sent a request; a list, so that the
         # finalizer reaches the current spare without holding the evaluator.
@@ -420,12 +402,7 @@ class ExternalEvaluator:
     def __call__(self, X_unit: np.ndarray):
         X_phys = self.problem.denormalize(np.atleast_2d(X_unit))
         child = self._spare.pop() if self._spare else self.command
-        y, C = external_evaluate(
-            child, X_phys,
-            n_constraints=self.n_constraints,
-            timeout=self.timeout,
-            max_parallel=self.max_parallel,
-        )
+        y, C = external_evaluate(child, X_phys, n_constraints=self.n_constraints, timeout=self.timeout)
         self._calls_left -= 1
         if self._calls_left > 0:
             try:

@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import sys
+import threading
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -50,8 +51,6 @@ for line in sys.stdin:
         sys.exit(1)
     if mode == "sleep" and i == 1:
         time.sleep(10)
-    if mode == "slow":
-        time.sleep(0.4)
     if (mode == "malformed" and i == 1) or (mode == "malformed-second" and launch == 1):
         print("{this is not json", flush=True)
         answered += 1
@@ -60,7 +59,9 @@ for line in sys.stdin:
     if mode == "branin":
         b, c, s = 5.1 / (4 * math.pi**2), 5 / math.pi, 1 / (8 * math.pi)
         y = (x[1] - b * x[0] ** 2 + c * x[0] - 6) ** 2 + 10 * (1 - s) * math.cos(x[0]) + 10
-    resp = {"id": i, "y": {"y-bool": True, "y-text": "1.5"}.get(mode, y)}
+    bad_id = {"id-text": "1", "id-bool": True, "id-frac": 1.7}  # the id the answer to request 1 carries
+    resp = {"id": bad_id[mode] if mode in bad_id and i == 1 else i,
+            "y": {"y-bool": True, "y-text": "1.5"}.get(mode, y)}
     if mode == "constrained":
         resp["c"] = [x[0] - 0.5]
     bad_c = {"c-text": ["x"], "c-null": [None], "c-bool": [True], "c-numtext": ["-2"], "c-inf": [float("inf")],
@@ -70,6 +71,9 @@ for line in sys.stdin:
     print(json.dumps(resp), flush=True)
     if mode == "dup" and i == 0:
         print(json.dumps(resp), flush=True)
+    if mode == "non-utf8" and i == 0:
+        sys.stdout.buffer.write(b"\xff\n")
+        sys.stdout.buffer.flush()
     answered += 1
 """
 
@@ -155,7 +159,7 @@ class TestParseConfig:
             parse_config(None, {"problem": "branin", "budget": 10, "n_init": 20})
 
     @pytest.mark.parametrize("key, value", [
-        ("budget", "abc"), ("rho", "x"), ("max_parallel", "q"), ("ensemble", 5), ("batch", 2.9),
+        ("budget", "abc"), ("rho", "x"), ("timeout", "q"), ("ensemble", 5), ("batch", 2.9),
         ("seed", True), ("bounds", [[0.0, "x"], [0.0, 1.0]]), ("bounds", [[1.0, 0.0], [0.0, 1.0]]),
         ("ensemble", ["lcb", "ucb"]), ("ensemble", []),
     ])
@@ -173,13 +177,15 @@ class TestParseConfig:
         assert parse_config(None, {"problem": "branin", "budget": 30.0, "batch": "3"}).batch == 3
 
     def test_acquisition_constants_are_unknown_keys(self, tmp_path, capsys):
-        # xi, nu and delta are AcqContext's defaults; no config file or flag sets them.
+        # Keys that were removed: xi, nu and delta are AcqContext's defaults, and
+        # a child that must cap its concurrent simulations queues them itself.
         path = tmp_path / "c.json"
-        for key, text in (("xi", "0.01"), ("nu", "0.5"), ("delta", "0.1")):
+        for key, text in (("xi", "0.01"), ("nu", "0.5"), ("delta", "0.1"), ("max_parallel", "2")):
+            flag = "--" + key.replace("_", "-")
             path.write_text(json.dumps({"problem": "branin", "budget": 30, key: float(text)}))
             for argv, named in ((["run", "--config", str(path)], f"unknown key: {key}"),
-                                (["run", "--problem", "branin", "--budget", "30", f"--{key}", text],
-                                 f"unrecognized arguments: --{key}")):
+                                (["run", "--problem", "branin", "--budget", "30", flag, text],
+                                 f"unrecognized arguments: {flag}")):
                 with pytest.raises(SystemExit) as exit_info:
                     main(argv)
                 assert exit_info.value.code == 2
@@ -253,8 +259,9 @@ class TestExternalEvaluate:
 
     def test_infinite_timeout_waits_without_limit(self, child):
         pts = np.array([[0.1, 0.2], [0.3, 0.4]])
-        y, _ = external_evaluate(child("echo"), pts, timeout=float("inf"))
-        np.testing.assert_allclose(y, pts.sum(axis=1))
+        for timeout in (float("inf"), 1e300):
+            y, _ = external_evaluate(child("echo"), pts, timeout=timeout)
+            np.testing.assert_allclose(y, pts.sum(axis=1))
 
     def test_malformed_line_raises_protocol_error(self, child):
         pts = np.array([[0.1, 0.0], [0.2, 0.0]])
@@ -267,20 +274,38 @@ class TestExternalEvaluate:
         assert np.isfinite(y[0])
         assert np.isnan(y[1]) and np.isnan(y[2])
 
-    def test_timeout_counts_per_point_under_max_parallel(self, child):
-        # Each answer takes 0.4 s; the batch takes 1.6 s, each point 0.4 s.
-        pts = np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0], [0.4, 0.0]])
-        y, _ = external_evaluate(child("slow"), pts, timeout=1.0, max_parallel=1)
-        np.testing.assert_allclose(y, pts.sum(axis=1))
+    def test_writes_count_against_the_timeout(self):
+        # About 168 KB of requests, more than a pipe holds, to a child that reads none.
+        started = time.monotonic()
+        y, _ = external_evaluate("sleep 6", np.full((3000, 2), 0.5), timeout=1)
+        assert time.monotonic() - started < 4
+        assert np.isnan(y).all()
 
     def test_duplicate_id_raises_protocol_error(self, child):
         pts = np.array([[0.1, 0.0], [0.2, 0.0]])
         with pytest.raises(ProtocolError):
             external_evaluate(child("dup"), pts, timeout=5)
 
-    def test_windowed_dispatch_with_max_parallel(self, child):
-        pts = np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0], [0.4, 0.0]])
-        y, _ = external_evaluate(child("echo"), pts, timeout=30, max_parallel=1)
+    @pytest.mark.parametrize("mode", ["id-text", "id-bool", "id-frac"])
+    def test_non_integer_id_raises_protocol_error(self, child, mode):
+        pts = np.array([[0.5, 0.0], [1.5, 0.0], [2.5, 0.0]])
+        with pytest.raises(ProtocolError, match="unexpected response id"):
+            external_evaluate(child(mode), pts, timeout=30)
+
+    def test_non_utf8_output_raises_protocol_error(self, child):
+        # The child answers id 0, then writes the byte 0xff.
+        with pytest.raises(ProtocolError, match="malformed"):
+            external_evaluate(child("non-utf8"), np.array([[0.1, 0.0], [0.2, 0.0]]), timeout=4)
+
+    def test_process_left_holding_stdout_does_not_stall(self, child):
+        # The shell's background sleep keeps the child's stdout open for 3 s after it exits.
+        proc = cli._start_child(["sh", "-c", f"sleep 3 & exec {child('echo')}"])
+        threads, started = threading.active_count(), time.monotonic()
+        pts = np.array([[0.1, 0.2], [0.3, 0.4]])
+        y, _ = external_evaluate(proc, pts, timeout=30)
+        assert time.monotonic() - started < 2.5
+        assert threading.active_count() == threads
+        assert proc.stdout.closed
         np.testing.assert_allclose(y, pts.sum(axis=1))
 
 
@@ -532,7 +557,6 @@ SURFACE = [
     ("seed", "--seed", "7", 7, BASE),
     ("ensemble", "--ensemble", "ei,lcb", ["ei", "lcb"], BASE),
     ("out_dir", "--out", "elsewhere", "elsewhere", BASE),
-    ("max_parallel", "--max-parallel", "2", 2, BASE),
     ("rho", "--rho", "0.1", 0.1, BASE),
     ("demo_population", "--demo-population", "20", 20, BASE),
     ("demo_evaluations", "--demo-evaluations", "4000", 4000, BASE),
