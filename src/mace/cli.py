@@ -311,9 +311,9 @@ def _parse_response(line: bytes, sent: int, answered: set, n_constraints: int):
                             f"{cvals!r}") from exc
 
 
-# The longest single wait for the child, in seconds: epoll rejects waits above
-# INT_MAX milliseconds, so an infinite or huge timeout waits in slices.
-_WAIT_SLICE = 3600.0
+# The longest single wait for the child, in seconds; between waits the loop
+# looks whether the child has exited.
+_POLL_SLICE = 0.05
 
 
 def external_evaluate(command, points, n_constraints: int = 0, timeout: float = ExperimentSpec.timeout):
@@ -325,8 +325,8 @@ def external_evaluate(command, points, n_constraints: int = 0, timeout: float = 
 
     All requests go out at once as JSON lines, and the batch has ``timeout``
     seconds from when the first is written, writes included.  Points not
-    answered by then, or before the child closes its output, are faulted
-    (NaN), as are points whose requests could not be written.  Malformed
+    answered by then, or before the child exits or closes its output, are
+    faulted (NaN), as are points whose requests could not be written.  Malformed
     responses raise :class:`ProtocolError`.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -344,12 +344,20 @@ def external_evaluate(command, points, n_constraints: int = 0, timeout: float = 
     try:
         with selectors.DefaultSelector() as selector:
             selector.register(proc.stdin, selectors.EVENT_WRITE)
-            selector.register(proc.stdout, selectors.EVENT_READ)
-            while len(answered) < n and selector.get_map():
+            out_key = selector.register(proc.stdout, selectors.EVENT_READ)
+            exited = False
+            while len(answered) < n and selector.get_map() and not exited:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
-                for key, _ in selector.select(min(remaining, _WAIT_SLICE)):
+                events = selector.select(min(remaining, _POLL_SLICE))
+                if not events and proc.poll() is not None:
+                    # A process the child left may hold its stdout open, so EOF may not
+                    # come: what stdout holds now is the child's last output.
+                    exited = True
+                    os.set_blocking(proc.stdout.fileno(), False)
+                    events = [(out_key, selectors.EVENT_READ)] if proc.stdout in selector.get_map() else []
+                for key, _ in events:
                     if key.fileobj is proc.stdin:
                         # A writable pipe takes PIPE_BUF bytes without blocking.
                         try:
@@ -362,11 +370,14 @@ def external_evaluate(command, points, n_constraints: int = 0, timeout: float = 
                             selector.unregister(proc.stdin)
                             proc.stdin.close()
                     else:
-                        chunk = os.read(proc.stdout.fileno(), 65536)
+                        try:
+                            chunk = os.read(proc.stdout.fileno(), 65536)
+                        except BlockingIOError:  # the child has exited and left nothing more
+                            chunk = b""
                         lines = (partial + chunk).split(b"\n")
-                        if chunk:
+                        if chunk and not exited:
                             partial = lines.pop()
-                        else:  # EOF: what is left is the last line
+                        else:  # EOF, or the exited child's last output: what is left is the last line
                             selector.unregister(proc.stdout)
                         for line in filter(None, map(bytes.strip, lines)):
                             point_id, value, cvals = _parse_response(line, sent, answered, n_constraints)

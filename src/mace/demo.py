@@ -6,12 +6,12 @@ the population, which is then truncated back to size with non-dominated
 sorting and crowding distance.  An external archive keeps the non-dominated
 set of everything evaluated so far.
 
-All dominance tests go through one n-by-n weak-order matrix, ``le[i, j] =
-all(A[i] <= B[j])``, built column by column.  Row i dominates row j exactly
-when ``le[i, j] and not le[j, i]``: given ``all(Fi <= Fj)``, some ``Fi < Fj``
-holds iff not every ``Fj <= Fi``.  ``le[i, j]`` is only true when every
-coordinate pair was ordered, so the identity also holds with infinities and
-NaN (a NaN coordinate makes both entries false, and nothing dominates).
+Every dominance test, between row sets or between a parent and its child, goes
+through the weak order ``le[i, j] = all(A[i] <= B[j])``.  Row i dominates row
+j exactly when ``le[i, j] and not le[j, i]``: given ``all(Fi <= Fj)``, some
+``Fi < Fj`` holds iff not every ``Fj <= Fi``.  ``le[i, j]`` is only true when
+every coordinate pair was ordered, so the identity also holds with infinities
+and NaN (a NaN coordinate makes both entries false, and nothing dominates).
 
 Objective callables receive a whole candidate batch at once: ``f(X)`` with
 ``X`` of shape (n, d) must return an (n, m) array of objective values, all in
@@ -122,15 +122,17 @@ def pareto_front(objectives) -> np.ndarray:
     return np.flatnonzero(non_dominated_mask(F))
 
 
-def fast_non_dominated_fronts(F: np.ndarray) -> list[np.ndarray]:
-    """Successive non-dominated fronts (index arrays) of the rows of F."""
+def fast_non_dominated_fronts(F: np.ndarray, size: int | None = None) -> list[np.ndarray]:
+    """Successive non-dominated fronts (index arrays) of F's rows, until they hold ``size`` rows if given."""
     D = _domination_matrix(F)
     counts = D.sum(axis=0)
     unassigned = np.ones(F.shape[0], dtype=bool)
+    left = F.shape[0] if size is None else min(size, F.shape[0])
     fronts = []
-    while unassigned.any():
+    while left > 0:
         front = np.flatnonzero(unassigned & (counts == 0))
         fronts.append(front)
+        left -= front.size
         unassigned[front] = False
         counts = counts - D[front].sum(axis=0)
     return fronts
@@ -153,22 +155,16 @@ def crowding_distance(F: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _most_spread(F: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k rows of largest crowding distance (ties to the earlier row), in row order."""
+    return np.sort(np.argsort(-crowding_distance(F), kind="stable")[:k])
+
+
 def _truncate(points: np.ndarray, objs: np.ndarray, size: int):
-    """Keep `size` members by front rank, breaking ties with crowding distance."""
-    chosen: list[np.ndarray] = []
-    taken = 0
-    for front in fast_non_dominated_fronts(objs):
-        if taken + front.size <= size:
-            chosen.append(front)
-            taken += front.size
-        else:
-            crowd = crowding_distance(objs[front])
-            order = np.argsort(-crowd, kind="stable")
-            chosen.append(front[order[: size - taken]])
-            taken = size
-        if taken == size:
-            break
-    idx = np.concatenate(chosen)
+    """Keep `size` members: every front but the last whole, the last trimmed by crowding."""
+    *whole, last = fast_non_dominated_fronts(objs, size)
+    k = size - sum(front.size for front in whole)
+    idx = np.concatenate([*whole, last[_most_spread(objs[last], k)]])
     idx.sort()  # preserve population order for reproducibility
     return points[idx], objs[idx]
 
@@ -203,17 +199,18 @@ def _update_archive(arch_x, arch_f, new_x, new_f, cap: int):
     X = np.vstack([arch_x[keep_arch], cx[keep_child]])
     F = np.vstack([arch_f[keep_arch], cf[keep_child]])
     if X.shape[0] > cap:
-        keep = np.argsort(-crowding_distance(F), kind="stable")[:cap]
-        keep.sort()
+        keep = _most_spread(F, cap)
         X, F = X[keep], F[keep]
     return X, F
 
 
 def _reflect_unit(v: np.ndarray) -> np.ndarray:
-    """Reflect out-of-bounds coordinates back into [0, 1]."""
+    """Reflect out-of-bounds coordinates back into [0, 1].
+
+    Once is enough: a DE/rand/1 mutant of unit-cube points lies in [-F, 1 + F], F = SCALE_FACTOR < 1.
+    """
     v = np.where(v < 0.0, -v, v)
-    v = np.where(v > 1.0, 2.0 - v, v)
-    return np.clip(v, 0.0, 1.0)  # guards pathological multi-bounce cases
+    return np.where(v > 1.0, 2.0 - v, v)
 
 
 def demo_optimize(objective_fn, dim: int, config: DemoConfig, seed: int = 0, initial_points=None) -> ParetoSet:
@@ -246,9 +243,7 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, seed: int = 0, ini
         # DE/rand/1: three distinct partners per child, none equal to the parent.
         keys = rng.random((n_children, pop))
         keys[np.arange(n_children), np.arange(n_children)] = np.inf
-        picked = np.argpartition(keys, 3, axis=1)[:, :3]
-        order = np.argsort(np.take_along_axis(keys, picked, axis=1), axis=1)
-        r = np.take_along_axis(picked, order, axis=1)
+        r = np.argsort(keys, axis=1)[:, :3]
         mutants = _reflect_unit(
             pop_x[r[:, 0]] + SCALE_FACTOR * (pop_x[r[:, 1]] - pop_x[r[:, 2]])
         )
@@ -259,8 +254,10 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, seed: int = 0, ini
         evals_left -= n_children
 
         parent_f = pop_f[:n_children]
-        child_wins = np.all(trial_f <= parent_f, axis=1) & np.any(trial_f < parent_f, axis=1)
-        parent_wins = np.all(parent_f <= trial_f, axis=1) & np.any(parent_f < trial_f, axis=1)
+        child_le = np.all(trial_f <= parent_f, axis=1)
+        parent_le = np.all(parent_f <= trial_f, axis=1)
+        child_wins = child_le & ~parent_le
+        parent_wins = parent_le & ~child_le
         both = ~child_wins & ~parent_wins
         pop_x[:n_children][child_wins] = trial[child_wins]
         pop_f[:n_children][child_wins] = trial_f[child_wins]

@@ -308,6 +308,14 @@ class TestExternalEvaluate:
         assert proc.stdout.closed
         np.testing.assert_allclose(y, pts.sum(axis=1))
 
+    def test_child_exit_ends_batch_while_stdout_is_held(self, child):
+        # The child answers one point and exits; the background sleep keeps its stdout open.
+        proc = cli._start_child(["sh", "-c", f"sleep 4 & exec {child('die')}"])
+        started = time.monotonic()
+        y, _ = external_evaluate(proc, np.array([[0.5, 0.5], [0.2, 0.2], [0.3, 0.3]]), timeout=3)
+        assert time.monotonic() - started < 1
+        np.testing.assert_array_equal(y, [1.0, np.nan, np.nan])
+
 
 def external_spec(command, **extra):
     """A small cmd: campaign: 8 initial points, then 3 batches of 2."""

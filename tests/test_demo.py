@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mace.demo import (
+    SCALE_FACTOR,
     DemoConfig,
     ParetoSet,
     _domination_matrix,
+    _reflect_unit,
+    _truncate,
     _update_archive,
     crowding_distance,
     demo_optimize,
     dominates,
+    fast_non_dominated_fronts,
     non_dominated_mask,
     pareto_front,
 )
@@ -126,6 +130,65 @@ class TestDominationKernel:
         D = _domination_matrix(F)
         assert not D[1].any() and not D[:, 1].any()
         assert D[0, 2]
+
+
+def brute_force_fronts(F):
+    """Full peel by the plain definition: each front is the brute-force front of the rows left."""
+    left, fronts = np.arange(len(F)), []
+    while left.size:
+        front = left[sorted(brute_force_front(F[left]))]
+        fronts.append(front)
+        left = np.setdiff1d(left, front)
+    return fronts
+
+
+class TestFronts:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_size_stops_at_the_shortest_covering_prefix(self, data):
+        F = data.draw(objective_matrix(m=data.draw(st.sampled_from([2, 3, 6]))))
+        full = fast_non_dominated_fronts(F)
+        assert [f.tolist() for f in full] == [f.tolist() for f in brute_force_fronts(F)]
+        size = data.draw(st.integers(1, F.shape[0]))
+        fronts = fast_non_dominated_fronts(F, size)
+        assert [f.tolist() for f in fronts] == [f.tolist() for f in full[:len(fronts)]]
+        assert sum(f.size for f in fronts) >= size > sum(f.size for f in fronts[:-1])
+
+
+class TestTruncate:
+    # Infinite objectives give NaN crowding distances (inf - inf); reference and code see the same ones.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_full_peel_reference(self, data):
+        F = data.draw(objective_matrix(m=data.draw(st.sampled_from([2, 3, 6]))))
+        size = data.draw(st.integers(1, F.shape[0]))
+        # Reference: whole fronts while they fit, then the most crowded-apart rows of the next.
+        kept = []
+        for front in brute_force_fronts(F):
+            if len(kept) + front.size > size:
+                order = np.argsort(-crowding_distance(F[front]), kind="stable")
+                kept.extend(front[order[:size - len(kept)]])
+                break
+            kept.extend(front)
+        ids = np.arange(F.shape[0], dtype=float)[:, None]
+        X, G = _truncate(ids, F, size)
+        assert X[:, 0].astype(int).tolist() == sorted(kept)
+        assert np.array_equal(G, F[sorted(kept)])
+
+
+class TestReflectUnit:
+    def test_scale_factor_below_one(self):
+        # One reflection lands a mutant in [0, 1] only because F < 1.
+        assert 0 < SCALE_FACTOR < 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda d: st.lists(st.lists(st.floats(0, 1), min_size=d, max_size=d), min_size=3, max_size=3)))
+    def test_one_reflection_keeps_mutants_in_the_cube(self, abc):
+        a, b, c = np.array(abc)
+        v = _reflect_unit(a + SCALE_FACTOR * (b - c))
+        assert np.all((v >= 0) & (v <= 1)), v
 
 
 class TestUpdateArchive:
