@@ -38,6 +38,8 @@ class AcqContext:
 
     def __post_init__(self):
         # Written so that NaN fails every check.
+        if not math.isfinite(self.tau):
+            raise ValueError("tau must be finite")
         if not 0 <= self.xi < math.inf:
             raise ValueError("xi must be finite and non-negative")
         if not 0 < self.nu < math.inf:

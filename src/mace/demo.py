@@ -147,11 +147,13 @@ def crowding_distance(F: np.ndarray) -> np.ndarray:
     for j in range(m):
         order = np.argsort(F[:, j], kind="stable")
         fj = F[order, j]
-        span = fj[-1] - fj[0]
         dist[order[0]] = np.inf
         dist[order[-1]] = np.inf
-        if span > 0:
-            dist[order[1:-1]] += (fj[2:] - fj[:-2]) / span
+        lo, hi = fj[0], fj[-1]
+        # A column with an infinite end adds no interior gaps: its span and the
+        # gap next to that end are both infinite.
+        if -np.inf < lo < hi < np.inf:
+            dist[order[1:-1]] += (fj[2:] - fj[:-2]) / (hi - lo)
     return dist
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import acquisition as acq
 from .acquisition import AcqContext
 from .demo import DemoConfig, ParetoSet, demo_optimize
-from .errors import DimensionMismatchError, EvaluatorFaultError, StageError
+from .errors import DimensionMismatchError, EvaluatorFaultError
 from .gp import Dataset, GpModel, _one_blas_thread, fit_gp, predict
 from .problems import Problem, evaluate
 
@@ -69,6 +69,11 @@ class RunConfig:
     @property
     def total_evaluations(self) -> int:
         return self.n_init + self.n_iter * self.batch_size
+
+
+def _feasible(C: np.ndarray) -> np.ndarray:
+    """True where every constraint value is below zero; always True with no constraints."""
+    return np.all(C < 0, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,7 @@ class EvalRecord:
 
     @property
     def feasible(self) -> bool:
-        return not self.faulted and bool(np.all(self.c < 0))
+        return not self.faulted and bool(_feasible(self.c))
 
 
 @dataclass(frozen=True)
@@ -186,13 +191,13 @@ class RunRecord:
                     incumbent = cand
             self.incumbent_trace.append(incumbent)
 
-    def dataset(self, n_c: int) -> Dataset:
-        """The usable observations with their first ``n_c`` constraint values."""
+    def dataset(self, n_c: int) -> tuple[Dataset, np.ndarray]:
+        """The usable observations, and their first ``n_c`` constraint values as an (N, n_c) array."""
         rows = [r for r in self.evaluations if not r.faulted]
         if len(rows) < 2:
             raise EvaluatorFaultError("fewer than two usable observations; cannot fit surrogates")
-        return Dataset(np.vstack([r.x for r in rows]), [r.y for r in rows],
-                       np.vstack([r.c[:n_c] for r in rows]))
+        return (Dataset(np.vstack([r.x for r in rows]), [r.y for r in rows]),
+                np.vstack([r.c[:n_c] for r in rows]))
 
     def signature(self) -> tuple:
         """Deterministic content of the record, excluding wall-clock times."""
@@ -280,12 +285,10 @@ def build_unconstrained_objectives(model: GpModel, ctx: AcqContext, ensemble=ENS
     return objectives
 
 
-def build_stage1_objectives(constraint_models, dataset: Dataset):
+def build_stage1_objectives(constraint_models):
     """Feasibility-hunting objective: the feasibility columns of stage 2 alone."""
     if len(constraint_models) < 1:
         raise DimensionMismatchError("stage 1 requires at least one constraint model")
-    if bool(np.any(dataset.feasible_mask())):
-        raise StageError("stage 1 objectives requested but the dataset has a feasible point")
 
     def objectives(X: np.ndarray) -> np.ndarray:
         return np.column_stack(_feasibility_columns(constraint_models, np.atleast_2d(X)))
@@ -293,23 +296,10 @@ def build_stage1_objectives(constraint_models, dataset: Dataset):
     return objectives
 
 
-def build_stage2_objectives(
-    objective_model: GpModel,
-    constraint_models,
-    ctx: AcqContext,
-    dataset: Dataset,
-    ensemble=ENSEMBLE_ORDER,
-    require_feasible: bool = True,
-):
-    """Constrained ensemble: acquisition coordinates plus the three feasibility terms.
-
-    ``require_feasible=False`` supports the one-stage variant, where the
-    incumbent may still be infeasible.
-    """
+def build_stage2_objectives(objective_model: GpModel, constraint_models, ctx: AcqContext, ensemble=ENSEMBLE_ORDER):
+    """Constrained ensemble: acquisition coordinates plus the three feasibility terms."""
     if len(constraint_models) < 1:
         raise DimensionMismatchError("constrained mode requires at least one constraint model")
-    if require_feasible and not bool(np.any(dataset.feasible_mask())):
-        raise StageError("stage 2 objectives requested before any feasible observation")
     coords = _canonical_ensemble(ensemble)
     beta = acq.beta_schedule(ctx)
 
@@ -383,7 +373,7 @@ def _initial_design(config: RunConfig, dim: int, rng: np.random.Generator) -> np
     return (perms.T - u) / n
 
 
-def _warm_start(dataset: Dataset, cap: int) -> np.ndarray:
+def _warm_start(dataset: Dataset, C: np.ndarray, cap: int) -> np.ndarray:
     """Observed points used to seed the inner solver's population (constrained runs).
 
     Best observations first (feasible ones, ordered by objective, ahead of
@@ -392,8 +382,8 @@ def _warm_start(dataset: Dataset, cap: int) -> np.ndarray:
     the feasible observations, which a uniformly initialized population can
     miss entirely; seeding the dataset keeps those neighborhoods in the pool.
     """
-    viol = np.sum(np.maximum(dataset.C, 0.0), axis=1)
-    feasible = dataset.feasible_mask()
+    viol = np.sum(np.maximum(C, 0.0), axis=1)
+    feasible = _feasible(C)
     order = np.lexsort((np.where(feasible, dataset.y, viol), ~feasible))
     return dataset.X[order[:cap]]
 
@@ -436,26 +426,25 @@ def _mace_proposer(problem: Problem, config: RunConfig, n_c: int):
         obj_seed = int(rng.integers(2**31 - 1))
         con_seeds = [int(rng.integers(2**31 - 1)) for _ in range(n_c)]
         demo_seed = int(rng.integers(2**31 - 1))
-        ds = rec.dataset(n_c)
+        ds, C = rec.dataset(n_c)
         # With n_c = 0 every usable row counts as feasible.
-        feasible = ds.feasible_mask()
+        feasible = _feasible(C)
         stage = "unconstrained"
         if n_c:
             stage = "stage2" if config.one_stage or feasible.any() else "stage1"
-        constraint_models = [fit_gp(Dataset(ds.X, ds.C[:, j]), restarts=config.gp_restarts, seed=con_seeds[j])
+        constraint_models = [fit_gp(Dataset(ds.X, C[:, j]), restarts=config.gp_restarts, seed=con_seeds[j])
                              for j in range(n_c)]
         if stage == "stage1":
-            objective_fn = build_stage1_objectives(constraint_models, ds)
+            objective_fn = build_stage1_objectives(constraint_models)
         else:
             objective_model = fit_gp(ds, restarts=config.gp_restarts, seed=obj_seed)
             tau = float(ds.y[feasible].min()) if feasible.any() else float(ds.y.min())
             ctx = AcqContext(tau=tau, d=problem.dim, t=t)
             if stage == "stage2":
-                objective_fn = build_stage2_objectives(objective_model, constraint_models, ctx, ds,
-                                                       config.ensemble, require_feasible=not config.one_stage)
+                objective_fn = build_stage2_objectives(objective_model, constraint_models, ctx, config.ensemble)
             else:
                 objective_fn = build_unconstrained_objectives(objective_model, ctx, config.ensemble)
-        warm = _warm_start(ds, config.demo.population_size // 2) if n_c else None
+        warm = _warm_start(ds, C, config.demo.population_size // 2) if n_c else None
         pareto = demo_optimize(objective_fn, problem.dim, config.demo, seed=demo_seed, initial_points=warm)
         fallback = False
         if stage == "stage2":
@@ -464,7 +453,7 @@ def _mace_proposer(problem: Problem, config: RunConfig, n_c: int):
         violations = None
         if n_c:
             mu, s = _constraint_posteriors(constraint_models, proposal.points)
-            violations = np.atleast_1d(acq.adaptive_violation(mu, s))
+            violations = acq.adaptive_violation(mu, s)
         info = IterationRecord(t, stage, fallback, proposal.provenance, proposal.objectives, violations)
         return proposal.points, proposal.provenance, info
 

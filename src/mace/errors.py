@@ -17,10 +17,6 @@ class EvaluatorFaultError(RuntimeError):
     """An objective or constraint evaluation returned a non-finite value."""
 
 
-class StageError(RuntimeError):
-    """A two-stage operation was invoked in the wrong feasibility stage."""
-
-
 class ConfigError(ValueError):
     """Invalid or unknown configuration entry; the message names the offending key."""
 

@@ -75,31 +75,24 @@ class KernelHyperParams:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observed design points with objective and constraint values.
+    """Observed design points and the targets a GP is fitted to.
 
-    ``X`` holds N points in unit-cube coordinates, ``y`` the N objective
-    observations and ``C`` an (N, n_constraints) matrix of constraint values
-    (zero columns when omitted or empty).
+    ``X`` holds N points in unit-cube coordinates and ``y`` the N observations.
     """
 
     X: np.ndarray
     y: np.ndarray
-    C: np.ndarray = ()
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        C = np.asarray(self.C, dtype=float)
-        if C.size == 0:
-            C = np.zeros((X.shape[0], 0))
-        C = np.atleast_2d(C)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "C", C)
-        if X.min(initial=0.0) < -1e-12 or X.max(initial=1.0) > 1 + 1e-12:
+        # Written so that a NaN coordinate fails it.
+        if not (np.all(X >= -1e-12) and np.all(X <= 1 + 1e-12)):
             raise ValueError("design points must lie in the unit cube")
-        if y.shape[0] != X.shape[0] or C.shape[0] != X.shape[0]:
-            raise DimensionMismatchError("y and C must have one row per design point")
+        if y.shape[0] != X.shape[0]:
+            raise DimensionMismatchError("y must have one entry per design point")
 
     @property
     def n(self) -> int:
@@ -108,10 +101,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
-
-    def feasible_mask(self) -> np.ndarray:
-        """True where every constraint value is strictly below zero."""
-        return np.all(self.C < 0, axis=1)
 
 
 @dataclass(frozen=True)

@@ -255,3 +255,6 @@ class TestContextValidation:
             AcqContext(tau=0.0, d=1, delta=1.0)
         with pytest.raises(ValueError):
             AcqContext(tau=0.0, d=1, t=0)
+        for tau in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="tau"):
+                AcqContext(tau=tau, d=1)

@@ -1,5 +1,7 @@
 """Dominance, Pareto extraction and the evolutionary optimizer."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,8 +158,6 @@ class TestFronts:
 
 
 class TestTruncate:
-    # Infinite objectives give NaN crowding distances (inf - inf); reference and code see the same ones.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_full_peel_reference(self, data):
@@ -237,6 +237,18 @@ class TestCrowding:
         d = crowding_distance(F)
         assert np.isinf(d[0]) and np.isinf(d[3])
         assert np.isfinite(d[1]) and np.isfinite(d[2])
+
+    def test_infinite_column_ends_give_no_nan(self):
+        # Column 1 has an infinite end and column 2 is all infinite: neither
+        # adds interior gaps, so the interior rows keep column 0's distances.
+        F = np.array([[0.0, np.inf, np.inf], [1.0, 2.0, np.inf], [2.0, 1.0, np.inf], [3.0, 0.0, np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = crowding_distance(F)
+            d2 = crowding_distance(F[:, :2])
+        assert not np.isnan(d).any()
+        np.testing.assert_array_equal(d, [np.inf, 2 / 3, 2 / 3, np.inf])
+        np.testing.assert_array_equal(d2, d)
 
 
 def counting(fn):

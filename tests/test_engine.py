@@ -34,7 +34,7 @@ from mace.engine import (
     sample_batch,
 )
 from mace.demo import demo_optimize
-from mace.errors import DimensionMismatchError, EvaluatorFaultError, StageError
+from mace.errors import DimensionMismatchError, EvaluatorFaultError
 from mace.gp import Dataset, GpModel, KernelHyperParams, build_gp, fit_gp, predict
 from mace.problems import Problem, builtin
 
@@ -129,28 +129,18 @@ def constraint_dataset(rng, n=14, feasible=False):
     X = rng.random((n, 2))
     c = X[:, 0] - 0.5 if feasible else X.sum(axis=1) + 0.5  # latter never < 0
     y = np.cos(3 * X[:, 1])
-    return Dataset(X, y, c[:, None])
+    return X, y, c
 
 
 class TestStageObjectives:
-    def test_stage1_rejects_feasible_dataset(self):
-        rng = np.random.default_rng(3)
-        ds = constraint_dataset(rng, feasible=True)
-        model = build_gp(
-            Dataset(ds.X, ds.C[:, 0]),
-            KernelHyperParams(1.0, 0.1, np.array([0.4, 0.4])),
-        )
-        with pytest.raises(StageError):
-            build_stage1_objectives([model], ds)
-
     def test_stage1_composition_identity(self):
         rng = np.random.default_rng(4)
-        ds = constraint_dataset(rng)
+        Xd, _, c = constraint_dataset(rng)
         cmodel = build_gp(
-            Dataset(ds.X, ds.C[:, 0]),
+            Dataset(Xd, c),
             KernelHyperParams(1.0, 0.1, np.array([0.4, 0.4])),
         )
-        fn = build_stage1_objectives([cmodel], ds)
+        fn = build_stage1_objectives([cmodel])
         X = rng.random((6, 2))
         out = fn(X)
         mu, s = predict(cmodel, X)
@@ -161,11 +151,10 @@ class TestStageObjectives:
 
     def test_stage1_deep_feasible_dominates(self):
         rng = np.random.default_rng(5)
-        ds = constraint_dataset(rng)
         deep = constant_model(-5.0, 1.0)     # mean five sigma below zero
         violating = constant_model(+2.0, 1.0)
-        fn_deep = build_stage1_objectives([deep], ds)
-        fn_bad = build_stage1_objectives([violating], ds)
+        fn_deep = build_stage1_objectives([deep])
+        fn_bad = build_stage1_objectives([violating])
         x = rng.random((1, 2))
         v_deep = fn_deep(x)[0]
         v_bad = fn_bad(x)[0]
@@ -174,42 +163,30 @@ class TestStageObjectives:
 
     def test_stage1_violation_breaks_pf_ties(self):
         rng = np.random.default_rng(6)
-        ds = constraint_dataset(rng)
         worse = constant_model(20.0, 1.0)
         better = constant_model(10.0, 1.0)
         x = rng.random((1, 2))
-        v_worse = build_stage1_objectives([worse], ds)(x)[0]
-        v_better = build_stage1_objectives([better], ds)(x)[0]
+        v_worse = build_stage1_objectives([worse])(x)[0]
+        v_better = build_stage1_objectives([better])(x)[0]
         # PF is vanishingly small for both, useless for ranking; the violation
         # coordinates still order the two points decisively.
         assert -v_worse[0] < 1e-20 and -v_better[0] < 1e-20
         assert v_better[1] < v_worse[1] and v_better[2] < v_worse[2]
 
-    def test_stage2_requires_feasible_point(self):
-        rng = np.random.default_rng(7)
-        ds = constraint_dataset(rng, feasible=False)
-        obj = constant_model(0.0, 1.0)
-        con = constant_model(1.0, 1.0)
-        ctx = AcqContext(tau=0.0, d=2)
-        with pytest.raises(StageError):
-            build_stage2_objectives(obj, [con], ctx, ds)
-        fn = build_stage2_objectives(obj, [con], ctx, ds, require_feasible=False)
-        assert fn(rng.random((3, 2))).shape == (3, 6)
-
     def test_stage2_six_coordinates_match_direct_calls(self):
         rng = np.random.default_rng(8)
-        ds = constraint_dataset(rng, feasible=True)
+        Xd, y, c = constraint_dataset(rng, feasible=True)
         obj_model = build_gp(
-            Dataset(ds.X, ds.y),
+            Dataset(Xd, y),
             KernelHyperParams(1.0, 0.1, np.array([0.5, 0.5])),
         )
         cmodel = build_gp(
-            Dataset(ds.X, ds.C[:, 0]),
+            Dataset(Xd, c),
             KernelHyperParams(1.0, 0.1, np.array([0.5, 0.5])),
         )
-        tau = float(ds.y[ds.feasible_mask()].min())
+        tau = float(y[c < 0].min())
         ctx = AcqContext(tau=tau, d=2, t=2)
-        fn = build_stage2_objectives(obj_model, [cmodel], ctx, ds)
+        fn = build_stage2_objectives(obj_model, [cmodel], ctx)
         X = rng.random((5, 2))
         out = fn(X)
         assert out.shape == (5, 6)
@@ -226,22 +203,19 @@ class TestStageObjectives:
 
     def test_stage2_feasible_point_dominates_on_constraint_coords(self):
         rng = np.random.default_rng(9)
-        ds = constraint_dataset(rng, feasible=True)
         obj = constant_model(0.3, 0.7)
         feas_con = constant_model(-2.0, 1.0)
         infeas_con = constant_model(+2.0, 1.0)
         ctx = AcqContext(tau=0.0, d=2)
         x = rng.random((1, 2))
-        v_feas = build_stage2_objectives(obj, [feas_con], ctx, ds)(x)[0]
-        v_infeas = build_stage2_objectives(obj, [infeas_con], ctx, ds)(x)[0]
+        v_feas = build_stage2_objectives(obj, [feas_con], ctx)(x)[0]
+        v_infeas = build_stage2_objectives(obj, [infeas_con], ctx)(x)[0]
         np.testing.assert_allclose(v_feas[:3], v_infeas[:3])  # same objective posterior
         assert np.all(v_feas[3:] <= v_infeas[3:]) and np.any(v_feas[3:] < v_infeas[3:])
 
     def test_stage2_requires_constraints(self):
-        rng = np.random.default_rng(10)
-        ds = constraint_dataset(rng, feasible=True)
         with pytest.raises(DimensionMismatchError):
-            build_stage2_objectives(constant_model(0, 1), [], AcqContext(tau=0.0, d=2), ds)
+            build_stage2_objectives(constant_model(0, 1), [], AcqContext(tau=0.0, d=2))
 
 
 class TestPrune:
@@ -268,9 +242,9 @@ class TestPrune:
 
     def test_mixed_members_exact_selection(self):
         rng = np.random.default_rng(11)
-        ds = constraint_dataset(rng)
+        Xd, _, c = constraint_dataset(rng)
         cmodel = build_gp(
-            Dataset(ds.X, ds.C[:, 0] - 0.9),
+            Dataset(Xd, c - 0.9),
             KernelHyperParams(1.0, 0.05, np.array([0.3, 0.3])),
         )
         ps = ParetoSet(rng.random((40, 2)), rng.random((40, 3)))

@@ -71,6 +71,13 @@ def dense_lml_oracle(dataset, hyp):
     return float(-0.5 * y_std @ np.linalg.inv(K) @ y_std - 0.5 * logdet - 0.5 * n * np.log(2 * np.pi))
 
 
+class TestDataset:
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+    def test_points_outside_the_unit_cube_rejected(self, bad):
+        with pytest.raises(ValueError, match="unit cube"):
+            Dataset(np.array([[bad, 0.5], [0.2, 0.3], [0.7, 0.1]]), np.array([1.0, 2.0, 3.0]))
+
+
 class TestKernel:
     def test_zero_distance_gives_signal_variance(self):
         hyp = KernelHyperParams(2.0, 0.1, np.ones(3))
@@ -348,7 +355,7 @@ class TestInvariants:
     def test_standardization_invariance_under_shift(self):
         rng = np.random.default_rng(43)
         ds = random_dataset(rng, 15, 2)
-        shifted = Dataset(ds.X, ds.y + 123.25, ds.C)
+        shifted = Dataset(ds.X, ds.y + 123.25)
         hyp = KernelHyperParams(1.0, 0.1, np.array([0.5, 0.5]))
         Xq = rng.random((20, 2))
         m1, s1 = predict(build_gp(ds, hyp), Xq)
