@@ -4,6 +4,11 @@ Inputs are expected in unit-cube coordinates and targets are standardized
 internally (zero mean, unit variance) before fitting; predictions are returned
 on the original target scale.  Hyperparameters therefore live on the
 standardized scale.
+
+``fit_gp`` maximizes the log evidence with L-BFGS-B through ``minimize``, a
+loop over scipy's compiled ``setulb``.  Its results are bit for bit those of
+``scipy.optimize.minimize(..., method="L-BFGS-B", jac=True)``, without that
+function's per-evaluation wrapping.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult
+from scipy.optimize._lbfgsb import setulb
 
 from .errors import DimensionMismatchError, FitFailureError, SingularKernelError
 
@@ -77,7 +83,7 @@ class KernelHyperParams:
 class Dataset:
     """Observed design points and the targets a GP is fitted to.
 
-    ``X`` holds N points in unit-cube coordinates and ``y`` the N observations.
+    ``X`` holds N points in unit-cube coordinates and ``y`` the N finite observations.
     """
 
     X: np.ndarray
@@ -91,6 +97,8 @@ class Dataset:
         # Written so that a NaN coordinate fails it.
         if not (np.all(X >= -1e-12) and np.all(X <= 1 + 1e-12)):
             raise ValueError("design points must lie in the unit cube")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("targets must be finite")
         if y.shape[0] != X.shape[0]:
             raise DimensionMismatchError("y must have one entry per design point")
 
@@ -303,6 +311,56 @@ def _neg_lml_and_grad(log_theta: np.ndarray, sqdists: np.ndarray, y_std: np.ndar
     return -lml, -grad
 
 
+def minimize(fun, x0, args, bounds) -> OptimizeResult:
+    """Minimize ``fun`` over a finite box with L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).
+
+    ``fun(x, *args)`` returns ``(f, gradient)`` and must not write to ``x``.
+    This steps scipy's compiled ``setulb`` exactly as
+    ``scipy.optimize.minimize(fun, x0, args, method="L-BFGS-B", jac=True,
+    bounds=bounds)`` does with its default options, so ``x``, ``fun``,
+    ``nfev``, ``nit`` and ``success`` are bit for bit the same, without the
+    per-evaluation wrapping.  Like scipy's memo, a request at the point just
+    evaluated reuses that ``(f, gradient)``.
+    """
+    lo, hi = np.array(bounds, dtype=float).T.copy()
+    x = np.asarray(x0, dtype=float).ravel()
+    if lo.shape != x.shape:
+        raise DimensionMismatchError("bounds need one (low, high) pair per coordinate")
+    x = np.clip(x, lo, hi)
+    n, m = x.size, 10
+    nbd = np.full(n, 2, dtype=np.int32)
+    f, g = 0.0, np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    # factr is scipy's default ftol over machine epsilon; pgtol, maxls and the
+    # 15000 limits on iterations and evaluations are its defaults too.
+    factr = 2.2204460492503131e-09 / np.finfo(float).eps
+    x_seen, nfev, nit = np.full(n, np.nan), 0, 0  # NaN equals no point
+    while True:
+        setulb(m, x, lo, hi, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # FG: wants f and g at x
+            if not (x == x_seen).all():
+                x_seen = x.copy()
+                f, g = fun(x_seen, *args)
+                nfev += 1
+        elif task[0] == 1:  # NEW_X: an iteration ended
+            nit += 1
+            if nit >= 15000:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif nfev > 15000:
+                task[:] = 5, 502  # STOP: evaluation limit
+        else:
+            break
+    # 0: CONVERGENCE, 1: a limit was reached, 2: any other stop (e.g. ABNORMAL)
+    status = 0 if task[0] == 4 else 1 if nfev > 15000 or nit >= 15000 else 2
+    return OptimizeResult(fun=f, x=x, nfev=nfev, nit=nit, status=status, success=status == 0)
+
+
 def fit_gp(dataset: Dataset, restarts: int, seed: int = 0) -> GpModel:
     """Fit hyperparameters by multi-start maximization of the log evidence.
 
@@ -327,14 +385,7 @@ def fit_gp(dataset: Dataset, restarts: int, seed: int = 0) -> GpModel:
 
     best_val, best_theta = np.inf, None
     for x0 in starts:
-        res = minimize(
-            _neg_lml_and_grad,
-            x0,
-            args=(sqdists, y_std),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-        )
+        res = minimize(_neg_lml_and_grad, x0, args=(sqdists, y_std), bounds=bounds)
         if np.isfinite(res.fun) and res.fun < best_val:
             best_val, best_theta = res.fun, res.x
     if best_theta is None:

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.stats import qmc
 
+from mace import gp
 from mace.errors import DimensionMismatchError, SingularKernelError
 from mace.gp import (
+    _LOG_LENGTHSCALE_BOUNDS,
     _LOG_NOISE_BOUNDS,
+    _LOG_SIGNAL_BOUNDS,
     Dataset,
     KernelHyperParams,
     _chol_with_jitter,
@@ -76,6 +79,11 @@ class TestDataset:
     def test_points_outside_the_unit_cube_rejected(self, bad):
         with pytest.raises(ValueError, match="unit cube"):
             Dataset(np.array([[bad, 0.5], [0.2, 0.3], [0.7, 0.1]]), np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_targets_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(np.array([[0.1, 0.5], [0.2, 0.3], [0.7, 0.1]]), np.array([bad, 2.0, 3.0]))
 
 
 class TestKernel:
@@ -248,8 +256,10 @@ class TestFit:
         # for the line search and most restarts end in failure there.
         outcomes = []
 
+        driver = gp.minimize
+
         def counted(*args, **kwargs):
-            res = minimize(*args, **kwargs)
+            res = driver(*args, **kwargs)
             outcomes.append(bool(res.success))
             return res
 
@@ -262,6 +272,95 @@ class TestFit:
                 fit_gp(Dataset(X, y), restarts=5, seed=s)
         assert len(outcomes) == 60
         assert outcomes.count(False) <= 2
+
+
+class TestMinimize:
+    """The fit's L-BFGS-B driver against ``scipy.optimize.minimize`` on the evidence."""
+
+    @staticmethod
+    def box(d):
+        lo = [_LOG_SIGNAL_BOUNDS[0], _LOG_NOISE_BOUNDS[0]] + [_LOG_LENGTHSCALE_BOUNDS[0]] * d
+        hi = [_LOG_SIGNAL_BOUNDS[1], _LOG_NOISE_BOUNDS[1]] + [_LOG_LENGTHSCALE_BOUNDS[1]] * d
+        return np.array(lo), np.array(hi)
+
+    @staticmethod
+    def assert_matches_scipy(x0, sqdists, y_std, bounds):
+        ours = gp.minimize(_neg_lml_and_grad, x0, args=(sqdists, y_std), bounds=bounds)
+        ref = minimize(_neg_lml_and_grad, x0, args=(sqdists, y_std), jac=True, method="L-BFGS-B",
+                       bounds=bounds)
+        assert ours.x.tobytes() == ref.x.tobytes()
+        assert (ours.fun, ours.nfev, ours.nit, ours.success) == (ref.fun, ref.nfev, ref.nit, ref.success)
+        return ours
+
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_matches_scipy(self, d):
+        rng = np.random.default_rng(d)
+        ds = random_dataset(rng, 30, d)
+        y_std, _, _ = _standardize(ds.y)
+        lo, hi = self.box(d)
+        starts = [np.concatenate([[0.0, math.log(0.1)], np.full(d, math.log(0.5))])]
+        starts += [rng.uniform(lo, hi) for _ in range(3)]
+        for x0 in starts:
+            self.assert_matches_scipy(x0, sqdists_of(ds.X), y_std, list(zip(lo, hi)))
+
+    def test_start_on_a_bound(self):
+        rng = np.random.default_rng(11)
+        ds = random_dataset(rng, 25, 3)
+        y_std, _, _ = _standardize(ds.y)
+        lo, hi = self.box(3)
+        for x0 in (lo, hi, np.where(np.arange(5) % 2, lo, hi)):
+            self.assert_matches_scipy(x0, sqdists_of(ds.X), y_std, list(zip(lo, hi)))
+
+    def test_constant_target(self):
+        X = np.random.default_rng(12).random((20, 2))
+        y_std, _, _ = _standardize(np.full(20, 3.0))
+        lo, hi = self.box(2)
+        self.assert_matches_scipy(np.zeros(4), sqdists_of(X), y_std, list(zip(lo, hi)))
+
+    def test_start_where_the_kernel_is_not_positive_definite(self):
+        # The kernel of TestEvidenceGradient's rejection case: the evidence is
+        # 1e25 with a zero gradient, so the first point is also the last.
+        sqdists = -np.ones((1, 3, 3))
+        sqdists[0][np.diag_indices(3)] = 0.0
+        lo, hi = self.box(1)
+        x0 = np.array([0.0, _LOG_NOISE_BOUNDS[0], 0.0])
+        res = self.assert_matches_scipy(x0, sqdists, np.array([1.0, 0.0, -1.0]), list(zip(lo, hi)))
+        assert (res.fun, res.nfev) == (1e25, 1)
+
+    def test_bounds_must_match_the_start(self):
+        sqdists, y_std = sqdists_of(np.array([[0.1], [0.6]])), np.array([1.0, -1.0])
+        lo, hi = self.box(1)
+        for x0, bounds in ((np.zeros(2), list(zip(lo, hi))), (np.zeros(3), [(lo[0], hi[0])])):
+            with pytest.raises(DimensionMismatchError):
+                gp.minimize(_neg_lml_and_grad, x0, args=(sqdists, y_std), bounds=bounds)
+
+    def test_request_at_the_last_point_reuses_its_evaluation(self, monkeypatch):
+        # Noiseless data drives the noise to its floor, where setulb asks more
+        # than once for f and g at the point it was just given.
+        rng = np.random.default_rng(1)
+        X = rng.random((40, 2))
+        y_std, _, _ = _standardize((X**2).sum(axis=1))
+        lo, hi = self.box(2)
+        x0 = rng.uniform(lo, hi)
+        requests, evaluated = [], []
+        setulb = gp.setulb
+
+        def spy(*args):
+            setulb(*args)
+            if args[11][0] == 3:  # task: f and g wanted at x
+                requests.append(args[1].copy())
+
+        def fun(x, *args):
+            evaluated.append(x.copy())
+            return _neg_lml_and_grad(x, *args)
+
+        monkeypatch.setattr(gp, "setulb", spy)
+        res = gp.minimize(fun, x0, args=(sqdists_of(X), y_std), bounds=list(zip(lo, hi)))
+        repeats = sum(np.array_equal(a, b) for a, b in zip(requests, requests[1:]))
+        assert repeats > 0
+        assert res.nfev == len(evaluated) == len(requests) - repeats
+        monkeypatch.undo()
+        self.assert_matches_scipy(x0, sqdists_of(X), y_std, list(zip(lo, hi)))
 
 
 class TestPredict:
