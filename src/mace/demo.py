@@ -33,6 +33,17 @@ CROSSOVER_RATE = 0.9
 ARCHIVE_CAP = 600
 
 
+def _require_counts(config, *names: str) -> None:
+    """Raise ``ValueError`` naming the first of ``names`` whose value is not an integer.
+
+    numpy integers count; ``bool`` does not.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class DemoConfig:
     """Budget of one inner solve: population size and scored trial points."""
@@ -41,6 +52,7 @@ class DemoConfig:
     max_evaluations: int = 2000
 
     def __post_init__(self):
+        _require_counts(self, "population_size", "max_evaluations")
         if self.population_size < 4:
             raise ValueError("population_size must be at least 4")
         if self.max_evaluations < self.population_size:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import acquisition as acq
 from .acquisition import AcqContext
-from .demo import DemoConfig, ParetoSet, demo_optimize
+from .demo import DemoConfig, ParetoSet, _require_counts, demo_optimize
 from .errors import DimensionMismatchError, EvaluatorFaultError
 from .gp import Dataset, GpModel, _one_blas_thread, fit_gp, predict
 from .problems import Problem, evaluate
@@ -51,13 +51,14 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ensemble", _canonical_ensemble(self.ensemble))
+        _require_counts(self, "n_iter", "batch_size", "n_init", "gp_restarts")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.n_init < 2:
             raise ValueError("n_init must be at least 2")
         if self.n_iter < 0:
             raise ValueError("n_iter must be non-negative")
-        if not self.gp_restarts >= 1:
+        if self.gp_restarts < 1:
             raise ValueError("gp_restarts must be at least 1")
         if not self.rho >= 0:
             raise ValueError("rho must be non-negative")

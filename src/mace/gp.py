@@ -8,23 +8,28 @@ standardized scale.
 ``fit_gp`` maximizes the log evidence with L-BFGS-B through ``minimize``, a
 loop over scipy's compiled ``setulb``.  Its results are bit for bit those of
 ``scipy.optimize.minimize(..., method="L-BFGS-B", jac=True)``, without that
-function's per-evaluation wrapping.
+function's per-evaluation wrapping.  ``setulb`` is loaded from scipy's own
+extension file, ``scipy/optimize/_lbfgsb<EXTENSION_SUFFIX>``, so importing this
+module never runs ``scipy.optimize``'s ``__init__``, which loads sparse,
+spatial, fft and linear programming besides.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.util
 import math
+import os
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.optimize import OptimizeResult
-from scipy.optimize._lbfgsb import setulb
 
 from .errors import DimensionMismatchError, FitFailureError, SingularKernelError
 
@@ -56,6 +61,41 @@ _blas_depth = 0
 _blas_restore: list = []  # (set, previous count) per library, while pinned
 
 
+def _load_setulb():
+    """scipy's compiled L-BFGS-B step, ``scipy.optimize._lbfgsb.setulb``.
+
+    When ``scipy.optimize`` is already imported, its module is used as is.
+    Otherwise the import system's finders locate the extension file (the
+    standard one looks in scipy's ``optimize`` directory; an editable install's
+    maps the name to its build), and the module is built under scipy's own
+    name, so CPython initializes it once whichever of this module and
+    ``scipy.optimize`` comes first.  The package ``__init__`` does not run.
+    """
+    name = "scipy.optimize._lbfgsb"
+    loaded = sys.modules.get(name)
+    if loaded is not None:
+        return loaded.setulb
+    directory = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    for finder in sys.meta_path:
+        find_spec = getattr(finder, "find_spec", None)
+        spec = find_spec(name, [directory]) if find_spec is not None else None
+        if spec is not None:
+            break
+    else:
+        raise ImportError(f"scipy's compiled L-BFGS-B is missing: no _lbfgsb extension in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # CPython files a new single-phase extension module in sys.modules as it
+    # builds it.  Left there, a later ``import scipy.optimize`` would take it
+    # from sys.modules and never bind it as the package's ``_lbfgsb``.
+    sys.modules.pop(name, None)
+    return module.setulb
+
+
+# Looked up at call time by ``minimize``, so tests can patch it.
+setulb = _load_setulb()
+
+
 @dataclass(frozen=True)
 class KernelHyperParams:
     """SE kernel hyperparameters: one lengthscale per input dimension."""
@@ -71,8 +111,9 @@ class KernelHyperParams:
         object.__setattr__(self, "noise_stddev", float(self.noise_stddev))
         if ls.ndim != 1 or ls.size == 0:
             raise ValueError("lengthscales must be a non-empty 1-d array")
-        if not (self.signal_stddev > 0 and self.noise_stddev > 0 and np.all(ls > 0)):
-            raise ValueError("kernel hyperparameters must be strictly positive")
+        values = np.append(ls, (self.signal_stddev, self.noise_stddev))
+        if not np.all((values > 0) & (values < np.inf)):
+            raise ValueError("kernel hyperparameters must be strictly positive and finite")
 
     @property
     def dim(self) -> int:
@@ -311,7 +352,26 @@ def _neg_lml_and_grad(log_theta: np.ndarray, sqdists: np.ndarray, y_std: np.ndar
     return -lml, -grad
 
 
-def minimize(fun, x0, args, bounds) -> OptimizeResult:
+@dataclass(frozen=True)
+class MinimizeResult:
+    """The end of one ``minimize`` run, named as ``scipy.optimize.OptimizeResult`` names it.
+
+    ``status`` is 0 on convergence, 1 when an iteration or evaluation limit
+    stopped the run and 2 on any other stop (e.g. a failed line search).
+    """
+
+    fun: float
+    x: np.ndarray
+    nfev: int
+    nit: int
+    status: int
+
+    @property
+    def success(self) -> bool:
+        return self.status == 0
+
+
+def minimize(fun, x0, args, bounds) -> MinimizeResult:
     """Minimize ``fun`` over a finite box with L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).
 
     ``fun(x, *args)`` returns ``(f, gradient)`` and must not write to ``x``.
@@ -326,6 +386,8 @@ def minimize(fun, x0, args, bounds) -> OptimizeResult:
     x = np.asarray(x0, dtype=float).ravel()
     if lo.shape != x.shape:
         raise DimensionMismatchError("bounds need one (low, high) pair per coordinate")
+    if np.any(lo > hi):
+        raise ValueError("An upper bound is less than the corresponding lower bound.")
     x = np.clip(x, lo, hi)
     n, m = x.size, 10
     nbd = np.full(n, 2, dtype=np.int32)
@@ -356,17 +418,18 @@ def minimize(fun, x0, args, bounds) -> OptimizeResult:
                 task[:] = 5, 502  # STOP: evaluation limit
         else:
             break
-    # 0: CONVERGENCE, 1: a limit was reached, 2: any other stop (e.g. ABNORMAL)
     status = 0 if task[0] == 4 else 1 if nfev > 15000 or nit >= 15000 else 2
-    return OptimizeResult(fun=f, x=x, nfev=nfev, nit=nit, status=status, success=status == 0)
+    return MinimizeResult(fun=f, x=x, nfev=nfev, nit=nit, status=status)
 
 
 def fit_gp(dataset: Dataset, restarts: int, seed: int = 0) -> GpModel:
     """Fit hyperparameters by multi-start maximization of the log evidence.
 
     Deterministic for a fixed seed: the first start is a fixed heuristic and the
-    remaining ones are drawn log-uniformly inside the search box.
+    remaining ``restarts - 1`` are drawn log-uniformly inside the search box.
     """
+    if not restarts >= 1:
+        raise ValueError("restarts must be at least 1")
     if dataset.n < 2 or np.unique(dataset.X, axis=0).shape[0] < 2:
         raise ValueError("fitting requires at least two distinct design points")
     d = dataset.dim
@@ -380,7 +443,7 @@ def fit_gp(dataset: Dataset, restarts: int, seed: int = 0) -> GpModel:
 
     rng = np.random.default_rng(seed)
     starts = [np.concatenate([[0.0, math.log(0.1)], np.full(d, math.log(0.5))])]
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(restarts - 1):
         starts.append(rng.uniform(lo, hi))
 
     best_val, best_theta = np.inf, None

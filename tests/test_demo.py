@@ -351,6 +351,16 @@ class TestDemoOptimize:
         with pytest.raises(ValueError):
             DemoConfig(population_size=10, max_evaluations=5)
 
+    @pytest.mark.parametrize("field", ["population_size", "max_evaluations"])
+    @pytest.mark.parametrize("value", [40.5, 400.0, "400", None])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DemoConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = DemoConfig(population_size=np.int64(40), max_evaluations=np.int32(400))
+        assert (cfg.population_size, cfg.max_evaluations) == (40, 400)
+
 
 class TestParetoSet:
     def test_shape_checks(self):

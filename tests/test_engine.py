@@ -610,6 +610,17 @@ class TestRunConfig:
             with pytest.raises(ValueError, match="gp_restarts"):
                 RunConfig(n_iter=1, batch_size=1, gp_restarts=restarts)
 
+    @pytest.mark.parametrize("field", ["n_iter", "batch_size", "n_init", "gp_restarts"])
+    @pytest.mark.parametrize("value", [1.5, 4.0, "4", True, None])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{"n_iter": 1, "batch_size": 1, field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = RunConfig(n_iter=np.int64(1), batch_size=np.int32(2), n_init=np.int64(4),
+                        gp_restarts=np.uint8(2))
+        assert cfg.total_evaluations == 6
+
     def test_ensemble_canonicalized(self):
         cfg = RunConfig(n_iter=1, batch_size=1, ensemble=("EI", "pi"))
         assert cfg.ensemble == ("pi", "ei")
@@ -647,16 +658,24 @@ class TestInitialDesign:
         got = _initial_design(config, 3, np.random.default_rng(5))
         assert got.tobytes() == np.random.default_rng(5).random((7, 3)).tobytes()
 
-    def test_import_does_not_load_scipy_stats(self):
+    @staticmethod
+    def fresh_import_loads(module):
+        """What a fresh interpreter prints for ``module in sys.modules`` after ``import mace, mace.cli``."""
         src = str(Path(mace.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         out = subprocess.run(
             [sys.executable, "-c",
-             "import sys, mace, mace.cli; print('scipy.stats' in sys.modules)"],
+             f"import sys, mace, mace.cli; print({module!r} in sys.modules)"],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_import_does_not_load_scipy_stats(self):
+        assert self.fresh_import_loads("scipy.stats") == "False"
+
+    def test_import_does_not_load_scipy_optimize(self):
+        assert self.fresh_import_loads("scipy.optimize") == "False"
 
 
 def blas_counts(controls):

@@ -1,9 +1,16 @@
 """GP regression tests against dense-inverse oracles and hand-derived values."""
 
+import importlib.machinery
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
@@ -124,6 +131,14 @@ class TestKernel:
             KernelHyperParams(0.0, 0.1, np.ones(2))
         with pytest.raises(ValueError):
             KernelHyperParams(1.0, 0.1, np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("slot", ["signal", "noise", "lengthscale"])
+    def test_hyperparams_must_be_finite(self, slot, bad):
+        values = {"signal": 1.0, "noise": 0.1, "lengthscale": 0.5}
+        values[slot] = bad
+        with pytest.raises(ValueError, match="finite"):
+            KernelHyperParams(values["signal"], values["noise"], [values["lengthscale"], 0.5])
 
 
 class TestLogMarginalLikelihood:
@@ -250,6 +265,12 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_gp(ds, restarts=2, seed=0)
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_requires_a_restart(self, restarts):
+        ds = random_dataset(np.random.default_rng(4), 10, 2)
+        with pytest.raises(ValueError, match="restarts"):
+            fit_gp(ds, restarts=restarts, seed=0)
+
     def test_restarts_converge_on_noiseless_branin(self, monkeypatch):
         # Noiseless data drives the fitted noise to its floor.  With a floor
         # that leaves K + sn^2 I ill conditioned, the evidence is too imprecise
@@ -334,6 +355,15 @@ class TestMinimize:
             with pytest.raises(DimensionMismatchError):
                 gp.minimize(_neg_lml_and_grad, x0, args=(sqdists, y_std), bounds=bounds)
 
+    def test_reversed_bounds_rejected(self):
+        sqdists, y_std = sqdists_of(np.array([[0.1], [0.6]])), np.array([1.0, -1.0])
+        lo, hi = self.box(1)
+        bounds = list(zip(lo, hi))
+        bounds[1] = bounds[1][::-1]
+        for driver in (gp.minimize, lambda *a, **k: minimize(*a, **k, jac=True, method="L-BFGS-B")):
+            with pytest.raises(ValueError, match="upper bound is less than the corresponding lower"):
+                driver(_neg_lml_and_grad, np.zeros(3), args=(sqdists, y_std), bounds=bounds)
+
     def test_request_at_the_last_point_reuses_its_evaluation(self, monkeypatch):
         # Noiseless data drives the noise to its floor, where setulb asks more
         # than once for f and g at the point it was just given.
@@ -361,6 +391,71 @@ class TestMinimize:
         assert res.nfev == len(evaluated) == len(requests) - repeats
         monkeypatch.undo()
         self.assert_matches_scipy(x0, sqdists_of(X), y_std, list(zip(lo, hi)))
+
+
+# Fits in a fresh interpreter, with mace.gp imported before or after
+# scipy.optimize; the fits must equal scipy's and both must share one _lbfgsb.
+IMPORT_ORDER = """
+import sys
+import numpy as np
+if SCIPY_FIRST:
+    import scipy.optimize
+from mace import gp
+
+assert ("scipy.optimize" in sys.modules) == SCIPY_FIRST
+rng = np.random.default_rng(5)
+lo, hi = np.array([-1.0, -6.0, -4.0, -4.0]), np.array([2.0, 0.0, 2.0, 2.0])
+X = rng.random((30, 2))
+y_std = gp._standardize(np.sin(3 * X.sum(axis=1)) + 0.05 * rng.standard_normal(30))[0]
+sqdists = np.ascontiguousarray(np.moveaxis((X[:, None] - X[None]) ** 2, -1, 0))
+fit = dict(args=(sqdists, y_std), bounds=list(zip(lo, hi)))
+starts = [rng.uniform(lo, hi) for _ in range(4)]
+ours = [gp.minimize(gp._neg_lml_and_grad, x0, **fit) for x0 in starts]
+
+import scipy.optimize
+
+for x0, a in zip(starts, ours):
+    b = scipy.optimize.minimize(gp._neg_lml_and_grad, x0, jac=True, method="L-BFGS-B", **fit)
+    assert a.x.tobytes() == b.x.tobytes()
+    assert (a.fun, a.nfev, a.nit, a.success) == (b.fun, b.nfev, b.nit, b.success)
+print(len(ours), scipy.optimize._lbfgsb is sys.modules["scipy.optimize._lbfgsb"],
+      gp.setulb is scipy.optimize._lbfgsb.setulb)
+"""
+
+
+class TestSetulbLoad:
+    @pytest.mark.parametrize("scipy_first", [False, True], ids=["mace_first", "scipy_first"])
+    def test_fits_match_scipy_in_either_import_order(self, scipy_first):
+        src = str(Path(gp.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        script = f"SCIPY_FIRST = {scipy_first}\n{IMPORT_ORDER}"
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["4", "True", "True"]
+
+    def test_missing_extension_names_its_path(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb")
+        monkeypatch.setattr(gp.scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "scipy" / "optimize"))):
+            gp._load_setulb()
+
+    def test_meta_path_finder_locates_extension(self, monkeypatch, tmp_path):
+        # An editable install's finder maps the module name to its build
+        # directory, wherever scipy's __init__ lives.
+        spec = importlib.machinery.PathFinder.find_spec(
+            "scipy.optimize._lbfgsb", [str(Path(scipy.optimize._lbfgsb.__file__).parent)])
+
+        class Editable:
+            def find_spec(self, name, path, target=None):
+                return spec if name == spec.name else None
+
+        monkeypatch.delitem(sys.modules, spec.name)
+        monkeypatch.setattr(sys, "meta_path", [Editable(), *sys.meta_path])
+        monkeypatch.setattr(gp.scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        assert gp._load_setulb() is gp.setulb
+        assert spec.name not in sys.modules
 
 
 class TestPredict:
