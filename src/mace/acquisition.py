@@ -3,6 +3,10 @@
 All functions broadcast over numpy arrays, so a whole candidate batch can be
 scored in one call.  Wherever a predictive stddev lands in a denominator it is
 floored at ``STDDEV_FLOOR`` (exact interpolation gives stddev 0).
+
+The normal CDF uses scipy's ``erfc`` ufunc, loaded from its extension file
+(``scipy/special/_special_ufuncs``) so that importing this module does not run
+``scipy.special``'s ``__init__``; it is the same object as ``scipy.special.erfc``.
 """
 
 from __future__ import annotations
@@ -11,9 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
+from ._compiled import load_extension
 from .errors import DimensionMismatchError
+
+erfc = load_extension("scipy.special._special_ufuncs").erfc
 
 STDDEV_FLOOR = 1e-10
 

@@ -8,29 +8,26 @@ standardized scale.
 ``fit_gp`` maximizes the log evidence with L-BFGS-B through ``minimize``, a
 loop over scipy's compiled ``setulb``.  Its results are bit for bit those of
 ``scipy.optimize.minimize(..., method="L-BFGS-B", jac=True)``, without that
-function's per-evaluation wrapping.  ``setulb`` is loaded from scipy's own
-extension file, ``scipy/optimize/_lbfgsb<EXTENSION_SUFFIX>``, so importing this
-module never runs ``scipy.optimize``'s ``__init__``, which loads sparse,
-spatial, fft and linear programming besides.
+function's per-evaluation wrapping.  Factorizations and solves call scipy's
+LAPACK routines (``dpotrf``, ``dpotri``, ``dpotrs``, ``dtrtrs``) directly,
+with the checks ``scipy.linalg``'s wrappers make.  ``setulb`` and LAPACK are
+loaded from scipy's own extension files (``scipy/optimize/_lbfgsb`` and
+``scipy/linalg/_flapack``), so importing this module runs neither
+``scipy.optimize``'s nor ``scipy.linalg``'s ``__init__``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import importlib.util
 import math
-import os
-import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
+from ._compiled import load_extension
 from .errors import DimensionMismatchError, FitFailureError, SingularKernelError
 
 # Box bounds for the hyperparameter search, in log space.
@@ -61,39 +58,10 @@ _blas_depth = 0
 _blas_restore: list = []  # (set, previous count) per library, while pinned
 
 
-def _load_setulb():
-    """scipy's compiled L-BFGS-B step, ``scipy.optimize._lbfgsb.setulb``.
-
-    When ``scipy.optimize`` is already imported, its module is used as is.
-    Otherwise the import system's finders locate the extension file (the
-    standard one looks in scipy's ``optimize`` directory; an editable install's
-    maps the name to its build), and the module is built under scipy's own
-    name, so CPython initializes it once whichever of this module and
-    ``scipy.optimize`` comes first.  The package ``__init__`` does not run.
-    """
-    name = "scipy.optimize._lbfgsb"
-    loaded = sys.modules.get(name)
-    if loaded is not None:
-        return loaded.setulb
-    directory = os.path.join(os.path.dirname(scipy.__file__), "optimize")
-    for finder in sys.meta_path:
-        find_spec = getattr(finder, "find_spec", None)
-        spec = find_spec(name, [directory]) if find_spec is not None else None
-        if spec is not None:
-            break
-    else:
-        raise ImportError(f"scipy's compiled L-BFGS-B is missing: no _lbfgsb extension in {directory}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    # CPython files a new single-phase extension module in sys.modules as it
-    # builds it.  Left there, a later ``import scipy.optimize`` would take it
-    # from sys.modules and never bind it as the package's ``_lbfgsb``.
-    sys.modules.pop(name, None)
-    return module.setulb
-
-
 # Looked up at call time by ``minimize``, so tests can patch it.
-setulb = _load_setulb()
+setulb = load_extension("scipy.optimize._lbfgsb").setulb
+_flapack = load_extension("scipy.linalg._flapack")
+dpotrf, dpotri, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotri, _flapack.dpotrs, _flapack.dtrtrs
 
 
 @dataclass(frozen=True)
@@ -135,6 +103,10 @@ class Dataset:
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
+        if X.ndim != 2 or y.ndim != 1:
+            raise DimensionMismatchError(
+                f"X must be 2-d and y 1-d, got {X.ndim}-d X and {y.ndim}-d y"
+            )
         # Written so that a NaN coordinate fails it.
         if not (np.all(X >= -1e-12) and np.all(X <= 1 + 1e-12)):
             raise ValueError("design points must lie in the unit cube")
@@ -191,10 +163,11 @@ def kernel_se(x_i, x_j, hyp: KernelHyperParams) -> float:
 
 def kernel_matrix(X1: np.ndarray, X2: np.ndarray, hyp: KernelHyperParams) -> np.ndarray:
     """Cross-covariance matrix k(X1, X2) under the SE kernel."""
-    A = np.atleast_2d(X1) / hyp.lengthscales
-    B = np.atleast_2d(X2) / hyp.lengthscales
+    A, B = np.atleast_2d(X1), np.atleast_2d(X2)
     if A.shape[1] != hyp.dim or B.shape[1] != hyp.dim:
         raise DimensionMismatchError("point dimension does not match lengthscale count")
+    A = A / hyp.lengthscales
+    B = B / hyp.lengthscales
     sq = (
         np.sum(A**2, axis=1)[:, None]
         + np.sum(B**2, axis=1)[None, :]
@@ -204,14 +177,27 @@ def kernel_matrix(X1: np.ndarray, X2: np.ndarray, hyp: KernelHyperParams) -> np.
     return hyp.signal_stddev**2 * np.exp(-0.5 * sq)
 
 
+def _require_finite(*arrays):
+    """Reject NaN and inf as ``scipy.linalg``'s ``check_finite`` does; LAPACK would not."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _lapack_info(info: int, routine: str):
+    """Raise for a negative LAPACK ``info``: an illegal argument, never a numerical failure."""
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument on entry to {routine}")
+
+
 def _chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of A, escalating the diagonal jitter on failure."""
+    _require_finite(A)
     for jitter in _JITTERS:
-        try:
-            L = cholesky(A + jitter * np.eye(A.shape[0]), lower=True)
+        L, info = dpotrf(A + jitter * np.eye(A.shape[0]), lower=1, clean=1)
+        _lapack_info(info, "DPOTRF")
+        if info == 0:
             return L, jitter
-        except np.linalg.LinAlgError:
-            continue
     raise SingularKernelError(
         f"covariance matrix is not positive definite even with jitter {_JITTERS[-1]:g}"
     )
@@ -301,7 +287,11 @@ def build_gp(dataset: Dataset, hyp: KernelHyperParams) -> GpModel:
     K = kernel_matrix(dataset.X, dataset.X, hyp)
     K[np.diag_indices_from(K)] += hyp.noise_stddev**2
     L, jitter = _chol_with_jitter(K)
-    alpha = cho_solve((L, True), y_std)
+    _require_finite(L, y_std)
+    alpha = y_std
+    if alpha.size:  # no points: LAPACK rejects a system of order 0
+        alpha, info = dpotrs(L, y_std, lower=1)
+        _lapack_info(info, "DPOTRS")
     return GpModel(hyp, dataset.X.copy(), alpha, L, y_mean, y_scale, jitter)
 
 
@@ -479,7 +469,12 @@ def predict(model: GpModel, x_star) -> tuple[np.ndarray, np.ndarray]:
     hyp = model.hyperparams
     k_star = kernel_matrix(X_star, model.X, hyp)
     mean_std = k_star @ model.alpha
-    v = solve_triangular(model.chol_lower, k_star.T, lower=True, check_finite=False)
+    v = k_star.T
+    if v.size:  # no queries, or a model of no points (a system of order 0)
+        v, info = dtrtrs(model.chol_lower, v, lower=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+        _lapack_info(info, "DTRTRS")
     var_std = hyp.signal_stddev**2 - np.sum(v**2, axis=0)
     np.maximum(var_std, 0.0, out=var_std)
     mean = model.y_mean + model.y_scale * mean_std

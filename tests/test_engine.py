@@ -677,6 +677,10 @@ class TestInitialDesign:
     def test_import_does_not_load_scipy_optimize(self):
         assert self.fresh_import_loads("scipy.optimize") == "False"
 
+    @pytest.mark.parametrize("module", ["scipy.linalg", "scipy.special", "scipy._lib._array_api"])
+    def test_import_does_not_load_scipy_package(self, module):
+        assert self.fresh_import_loads(module) == "False"
+
 
 def blas_counts(controls):
     return [get() for get, _ in controls]

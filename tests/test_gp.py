@@ -1,5 +1,6 @@
 """GP regression tests against dense-inverse oracles and hand-derived values."""
 
+import importlib
 import importlib.machinery
 import math
 import os
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.stats import qmc
 
-from mace import gp
+from mace import acquisition, gp
+from mace._compiled import load_extension
 from mace.errors import DimensionMismatchError, SingularKernelError
 from mace.gp import (
     _LOG_LENGTHSCALE_BOUNDS,
@@ -29,6 +31,7 @@ from mace.gp import (
     _standardize,
     build_gp,
     fit_gp,
+    kernel_matrix,
     kernel_se,
     log_marginal_likelihood,
     predict,
@@ -92,6 +95,14 @@ class TestDataset:
         with pytest.raises(ValueError, match="finite"):
             Dataset(np.array([[0.1, 0.5], [0.2, 0.3], [0.7, 0.1]]), np.array([bad, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("X, y", [
+        (np.full((3, 2, 2), 0.5), np.array([1.0, 2.0, 3.0])),
+        (np.full((5, 2), 0.5), np.ones((5, 2))),
+    ], ids=["3d_X", "2d_y"])
+    def test_x_must_be_2d_and_y_1d(self, X, y):
+        with pytest.raises(DimensionMismatchError):
+            Dataset(X, y)
+
 
 class TestKernel:
     def test_zero_distance_gives_signal_variance(self):
@@ -116,6 +127,16 @@ class TestKernel:
         hyp = KernelHyperParams(1.0, 0.1, np.ones(2))
         with pytest.raises(DimensionMismatchError):
             kernel_se(np.zeros(3), np.zeros(3), hyp)
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_kernel_matrix_checks_columns_before_broadcasting(self, cols):
+        # One column would broadcast against two lengthscales into a kernel.
+        hyp = KernelHyperParams(1.0, 0.1, np.ones(2))
+        X = np.full((2, cols), 0.3)
+        with pytest.raises(DimensionMismatchError):
+            kernel_matrix(X, X, hyp)
+        with pytest.raises(DimensionMismatchError):
+            kernel_matrix(np.full((2, 2), 0.3), X, hyp)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000))
@@ -393,16 +414,19 @@ class TestMinimize:
         self.assert_matches_scipy(x0, sqdists_of(X), y_std, list(zip(lo, hi)))
 
 
-# Fits in a fresh interpreter, with mace.gp imported before or after
-# scipy.optimize; the fits must equal scipy's and both must share one _lbfgsb.
+# Fits in a fresh interpreter, with mace imported before or after
+# scipy.optimize (which imports scipy.linalg and scipy.special); the fits must
+# equal scipy's, mace and scipy must share one _lbfgsb, one set of LAPACK
+# routines and one erfc, and scipy's packages must work after mace.
 IMPORT_ORDER = """
 import sys
 import numpy as np
 if SCIPY_FIRST:
     import scipy.optimize
-from mace import gp
+from mace import acquisition, gp
 
-assert ("scipy.optimize" in sys.modules) == SCIPY_FIRST
+for package in ("scipy.optimize", "scipy.linalg", "scipy.special"):
+    assert (package in sys.modules) == SCIPY_FIRST, package
 rng = np.random.default_rng(5)
 lo, hi = np.array([-1.0, -6.0, -4.0, -4.0]), np.array([2.0, 0.0, 2.0, 2.0])
 X = rng.random((30, 2))
@@ -418,8 +442,15 @@ for x0, a in zip(starts, ours):
     b = scipy.optimize.minimize(gp._neg_lml_and_grad, x0, jac=True, method="L-BFGS-B", **fit)
     assert a.x.tobytes() == b.x.tobytes()
     assert (a.fun, a.nfev, a.nit, a.success) == (b.fun, b.nfev, b.nit, b.success)
+import scipy.linalg
+import scipy.special
+
+assert (scipy.linalg.cholesky(4.0 * np.eye(2), lower=True) == 2.0 * np.eye(2)).all()
+assert scipy.special.erfc(0.0) == 1.0 and scipy.special.ndtr(0.0) == 0.5
 print(len(ours), scipy.optimize._lbfgsb is sys.modules["scipy.optimize._lbfgsb"],
-      gp.setulb is scipy.optimize._lbfgsb.setulb)
+      gp.setulb is scipy.optimize._lbfgsb.setulb,
+      gp.dpotrf is scipy.linalg.lapack.dpotrf, gp.dtrtrs is scipy.linalg.lapack.dtrtrs,
+      acquisition.erfc is scipy.special.erfc)
 """
 
 
@@ -433,19 +464,32 @@ class TestSetulbLoad:
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["4", "True", "True"]
+        assert out.stdout.split() == ["4"] + ["True"] * 5
 
-    def test_missing_extension_names_its_path(self, monkeypatch, tmp_path):
-        monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb")
-        monkeypatch.setattr(gp.scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
-        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "scipy" / "optimize"))):
-            gp._load_setulb()
 
-    def test_meta_path_finder_locates_extension(self, monkeypatch, tmp_path):
+# Each compiled module mace loads, with one function mace takes from it.
+EXTENSIONS = [
+    ("scipy.optimize._lbfgsb", gp, "setulb"),
+    ("scipy.linalg._flapack", gp, "dpotrf"),
+    ("scipy.special._special_ufuncs", acquisition, "erfc"),
+]
+
+
+@pytest.mark.parametrize("name, owner, attr", EXTENSIONS, ids=[e[0] for e in EXTENSIONS])
+class TestLoadExtension:
+    def test_missing_extension_names_its_path(self, monkeypatch, tmp_path, name, owner, attr):
+        importlib.import_module(name)
+        monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        directory = tmp_path.joinpath("scipy", *name.split(".")[1:-1])
+        with pytest.raises(ImportError, match=re.escape(str(directory))):
+            load_extension(name)
+
+    def test_meta_path_finder_locates_extension(self, monkeypatch, tmp_path, name, owner, attr):
         # An editable install's finder maps the module name to its build
         # directory, wherever scipy's __init__ lives.
         spec = importlib.machinery.PathFinder.find_spec(
-            "scipy.optimize._lbfgsb", [str(Path(scipy.optimize._lbfgsb.__file__).parent)])
+            name, [str(Path(importlib.import_module(name).__file__).parent)])
 
         class Editable:
             def find_spec(self, name, path, target=None):
@@ -453,8 +497,8 @@ class TestSetulbLoad:
 
         monkeypatch.delitem(sys.modules, spec.name)
         monkeypatch.setattr(sys, "meta_path", [Editable(), *sys.meta_path])
-        monkeypatch.setattr(gp.scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
-        assert gp._load_setulb() is gp.setulb
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        assert getattr(load_extension(name), attr) is getattr(owner, attr)
         assert spec.name not in sys.modules
 
 
@@ -494,6 +538,24 @@ class TestPredict:
         with pytest.raises(DimensionMismatchError):
             predict(model, np.array([0.1, 0.2, 0.3]))
 
+    def test_empty_batch_gives_empty_arrays(self):
+        ds = Dataset(np.array([[0.1, 0.2], [0.8, 0.9]]), np.array([0.0, 1.0]))
+        mean, std = predict(build_gp(ds, KernelHyperParams(1.0, 0.1, np.ones(2))), np.empty((0, 2)))
+        assert mean.shape == std.shape == (0,)
+
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value", "ignore:Degrees of freedom")
+    def test_model_of_no_points_gives_the_prior_stddev(self):
+        model = build_gp(Dataset(np.empty((0, 2)), []), KernelHyperParams(2.0, 0.1, np.ones(2)))
+        mean, std = predict(model, np.full((3, 2), 0.5))
+        assert mean.shape == (3,) and (std == 2.0).all()
+
+    def test_nan_row_gives_nan_only_in_its_row(self):
+        ds = Dataset(np.array([[0.1, 0.2], [0.8, 0.9]]), np.array([0.0, 1.0]))
+        model = build_gp(ds, KernelHyperParams(1.0, 0.1, np.ones(2)))
+        mean, std = predict(model, np.array([[0.3, 0.4], [np.nan, 0.5]]))
+        assert np.isfinite(mean[0]) and np.isfinite(std[0])
+        assert np.isnan(mean[1]) and np.isnan(std[1])
+
 
 class TestInvariants:
     def test_psd_with_default_jitter_ladder(self):
@@ -513,6 +575,15 @@ class TestInvariants:
     def test_jitter_ladder_exhaustion_raises(self):
         with pytest.raises(SingularKernelError):
             _chol_with_jitter(np.array([[-1.0]]))
+
+    def test_indefinite_matrix_exhausts_the_ladder(self):
+        with pytest.raises(SingularKernelError):
+            _chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _chol_with_jitter(np.array([[2.0, 0.5], [0.5, bad]]))
 
     def test_variance_never_negative(self):
         rng = np.random.default_rng(31)
