@@ -92,7 +92,8 @@ class KernelHyperParams:
 class Dataset:
     """Observed design points and the targets a GP is fitted to.
 
-    ``X`` holds N points in unit-cube coordinates and ``y`` the N finite observations.
+    ``X`` holds N >= 1 points in unit-cube coordinates and ``y`` the N finite
+    observations.
     """
 
     X: np.ndarray
@@ -114,6 +115,8 @@ class Dataset:
             raise ValueError("targets must be finite")
         if y.shape[0] != X.shape[0]:
             raise DimensionMismatchError("y must have one entry per design point")
+        if X.shape[0] < 1:
+            raise ValueError("need at least one observation")
 
     @property
     def n(self) -> int:
@@ -177,11 +180,10 @@ def kernel_matrix(X1: np.ndarray, X2: np.ndarray, hyp: KernelHyperParams) -> np.
     return hyp.signal_stddev**2 * np.exp(-0.5 * sq)
 
 
-def _require_finite(*arrays):
+def _require_finite(a: np.ndarray):
     """Reject NaN and inf as ``scipy.linalg``'s ``check_finite`` does; LAPACK would not."""
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def _lapack_info(info: int, routine: str):
@@ -268,8 +270,6 @@ def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
 
 def log_marginal_likelihood(dataset: Dataset, hyp: KernelHyperParams) -> float:
     """GP log evidence of the standardized targets under the given hyperparameters."""
-    if dataset.n < 1:
-        raise ValueError("need at least one observation")
     model = build_gp(dataset, hyp)
     y_std = (dataset.y - model.y_mean) / model.y_scale
     return float(
@@ -281,17 +281,15 @@ def log_marginal_likelihood(dataset: Dataset, hyp: KernelHyperParams) -> float:
 
 def build_gp(dataset: Dataset, hyp: KernelHyperParams) -> GpModel:
     """Construct a model with fixed hyperparameters (no fitting)."""
-    if hyp.dim != dataset.dim:
-        raise DimensionMismatchError("hyperparameter dimension does not match dataset")
     y_std, y_mean, y_scale = _standardize(dataset.y)
     K = kernel_matrix(dataset.X, dataset.X, hyp)
     K[np.diag_indices_from(K)] += hyp.noise_stddev**2
     L, jitter = _chol_with_jitter(K)
-    _require_finite(L, y_std)
-    alpha = y_std
-    if alpha.size:  # no points: LAPACK rejects a system of order 0
-        alpha, info = dpotrs(L, y_std, lower=1)
-        _lapack_info(info, "DPOTRS")
+    # L is finite: _chol_with_jitter took a finite matrix.  A mean that
+    # overflows can still leave y_std non-finite.
+    _require_finite(y_std)
+    alpha, info = dpotrs(L, y_std, lower=1)
+    _lapack_info(info, "DPOTRS")
     return GpModel(hyp, dataset.X.copy(), alpha, L, y_mean, y_scale, jitter)
 
 
@@ -461,16 +459,11 @@ def predict(model: GpModel, x_star) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x_star, dtype=float)
     single = x.ndim == 1
-    X_star = np.atleast_2d(x)
-    if X_star.shape[1] != model.dim:
-        raise DimensionMismatchError(
-            f"query dimension {X_star.shape[1]} does not match model dimension {model.dim}"
-        )
     hyp = model.hyperparams
-    k_star = kernel_matrix(X_star, model.X, hyp)
+    k_star = kernel_matrix(x, model.X, hyp)
     mean_std = k_star @ model.alpha
     v = k_star.T
-    if v.size:  # no queries, or a model of no points (a system of order 0)
+    if v.size:  # an empty query batch has nothing to solve
         v, info = dtrtrs(model.chol_lower, v, lower=1)
         if info > 0:
             raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")

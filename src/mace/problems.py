@@ -12,6 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .demo import _require_counts
 from .errors import EvaluatorFaultError
 
 
@@ -28,6 +29,9 @@ class Problem:
     known_optimum: Optional[float] = None
 
     def __post_init__(self):
+        _require_counts(self, "dim")
+        if self.dim < 1:
+            raise ValueError("dim must be at least 1")
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         object.__setattr__(self, "lower", lower)

@@ -172,6 +172,10 @@ class TestPF:
         with pytest.raises(DimensionMismatchError):
             pf(np.array([0.0, 1.0]), np.array([1.0]))
 
+    def test_no_constraints_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="at least one constraint"):
+            pf(np.empty((3, 0)), np.empty((3, 0)))
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(finite_floats, min_size=1, max_size=5), st.integers(0, 4), pos_floats)
     def test_monotone_decreasing_in_each_mean(self, means, which, sigma):
@@ -203,6 +207,10 @@ class TestViolations:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             adaptive_violation(np.array([1.0]), np.array([1.0, 2.0]))
+
+    def test_no_constraints_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="at least one constraint"):
+            naive_violation(np.empty((3, 0)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(finite_floats, min_size=1, max_size=6))
@@ -255,6 +263,8 @@ class TestContextValidation:
             AcqContext(tau=0.0, d=1, delta=1.0)
         with pytest.raises(ValueError):
             AcqContext(tau=0.0, d=1, t=0)
+        with pytest.raises(ValueError, match="d must"):
+            AcqContext(tau=0.0, d=0)
         for tau in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="tau"):
                 AcqContext(tau=tau, d=1)

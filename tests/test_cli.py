@@ -64,6 +64,8 @@ for line in sys.stdin:
             "y": {"y-bool": True, "y-text": "1.5"}.get(mode, y)}
     if mode == "constrained":
         resp["c"] = [x[0] - 0.5]
+    if mode == "infeasible":
+        resp["c"] = [1.0]
     bad_c = {"c-text": ["x"], "c-null": [None], "c-bool": [True], "c-numtext": ["-2"], "c-inf": [float("inf")],
              "c-two": [0.0, 0.0], "c-scalar": 1}
     if mode in bad_c:
@@ -236,6 +238,13 @@ class TestExternalEvaluate:
         y, _ = external_evaluate(child("die"), pts, timeout=5)
         assert np.isfinite(y[0])
         assert np.isnan(y[1]) and np.isnan(y[2])
+
+    def test_child_that_reads_nothing_faults_the_unsent_points(self):
+        # Past the 64 KiB a pipe buffers, writing to the exited child breaks the pipe.
+        pts = np.full((4000, 2), 0.123456789)
+        assert len(pts) * len(json.dumps({"id": 0, "x": [0.123456789] * 2})) > 65536
+        y, C = external_evaluate(f"{sys.executable} -c pass", pts, n_constraints=1, timeout=30)
+        assert np.isnan(y).all() and np.isnan(C).all() and C.shape == (4000, 1)
 
     @pytest.mark.parametrize("mode", ["c-text", "c-null", "c-bool", "c-numtext"])
     def test_non_numeric_constraint_raises_protocol_error(self, child, mode):
@@ -601,6 +610,21 @@ def test_bounds_has_no_flag():
 
 
 class TestMain:
+    def test_campaign_with_no_feasible_run_prints_no_best(self, child, tmp_path, capsys):
+        rc = main([
+            "run", "--problem", f"cmd:{child('infeasible')}", "--dim", "2", "--nc", "1",
+            "--budget", "12", "--batch", "2", "--n-init", "8", "--repeats", "1",
+            "--demo-population", "20", "--demo-evaluations", "40", "--gp-restarts", "2",
+            "--timeout", "30", "--out", str(tmp_path / "cli"),
+        ])
+        assert rc == 0
+        summary = json.loads((tmp_path / "cli" / "summary.json").read_text())
+        assert summary["final_best"] is None and summary["success_count"] == 0
+        assert summary["runs"][0]["final_best"] is None
+        out = capsys.readouterr().out
+        assert "best=" not in out
+        assert "success 0/1" in out
+
     def test_cli_run_smoke(self, tmp_path, capsys):
         rc = main([
             "run", "--problem", "branin", "--budget", "12", "--batch", "2",

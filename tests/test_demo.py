@@ -287,6 +287,10 @@ class TestDemoOptimize:
         demo_optimize(fn, 2, cfg, seed=1)
         assert calls["points"] == 30 + 95  # initial population plus exactly the budget
 
+    def test_objective_rows_must_match_points(self):
+        with pytest.raises(DimensionMismatchError, match="one row per point"):
+            demo_optimize(lambda X: np.zeros((X.shape[0] - 1, 2)), 2, DemoConfig(), seed=0)
+
     def test_result_points_pairwise_distinct(self):
         # Population members that also sit in the archive are returned once.
         rng = np.random.default_rng(5)
@@ -366,3 +370,5 @@ class TestParetoSet:
     def test_shape_checks(self):
         with pytest.raises(DimensionMismatchError):
             ParetoSet(np.zeros((2, 1)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="at least one member"):
+            ParetoSet(np.empty((0, 2)), np.empty((0, 3)))

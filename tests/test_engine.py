@@ -149,6 +149,10 @@ class TestStageObjectives:
         np.testing.assert_allclose(out[:, 1], acq.naive_violation(mu))
         np.testing.assert_allclose(out[:, 2], acq.adaptive_violation(mu, s))
 
+    def test_stage1_needs_a_constraint_model(self):
+        with pytest.raises(DimensionMismatchError):
+            build_stage1_objectives([])
+
     def test_stage1_deep_feasible_dominates(self):
         rng = np.random.default_rng(5)
         deep = constant_model(-5.0, 1.0)     # mean five sigma below zero
@@ -609,6 +613,12 @@ class TestRunConfig:
         for restarts in (0, -3):
             with pytest.raises(ValueError, match="gp_restarts"):
                 RunConfig(n_iter=1, batch_size=1, gp_restarts=restarts)
+        with pytest.raises(ValueError, match="n_iter"):
+            RunConfig(n_iter=-1, batch_size=1)
+        with pytest.raises(ValueError, match="mode"):
+            RunConfig(n_iter=1, batch_size=1, mode="two-stage")
+        with pytest.raises(ValueError, match="init_design"):
+            RunConfig(n_iter=1, batch_size=1, init_design="grid")
 
     @pytest.mark.parametrize("field", ["n_iter", "batch_size", "n_init", "gp_restarts"])
     @pytest.mark.parametrize("value", [1.5, 4.0, "4", True, None])

@@ -25,6 +25,7 @@ from mace.gp import (
     _LOG_NOISE_BOUNDS,
     _LOG_SIGNAL_BOUNDS,
     Dataset,
+    GpModel,
     KernelHyperParams,
     _chol_with_jitter,
     _neg_lml_and_grad,
@@ -98,10 +99,15 @@ class TestDataset:
     @pytest.mark.parametrize("X, y", [
         (np.full((3, 2, 2), 0.5), np.array([1.0, 2.0, 3.0])),
         (np.full((5, 2), 0.5), np.ones((5, 2))),
-    ], ids=["3d_X", "2d_y"])
+        (np.full((3, 2), 0.5), np.ones(2)),
+    ], ids=["3d_X", "2d_y", "short_y"])
     def test_x_must_be_2d_and_y_1d(self, X, y):
         with pytest.raises(DimensionMismatchError):
             Dataset(X, y)
+
+    def test_no_points_rejected(self):
+        with pytest.raises(ValueError, match="at least one observation"):
+            Dataset(np.empty((0, 2)), [])
 
 
 class TestKernel:
@@ -146,6 +152,10 @@ class TestKernel:
         hyp = KernelHyperParams(rng.uniform(0.1, 3), rng.uniform(0.01, 1), rng.uniform(0.05, 2, d))
         a, b = rng.random(d), rng.random(d)
         assert kernel_se(a, b, hyp) == kernel_se(b, a, hyp)
+
+    def test_lengthscales_must_be_1d(self):
+        with pytest.raises(ValueError, match="1-d"):
+            KernelHyperParams(1.0, 0.1, np.ones((2, 2)))
 
     def test_hyperparams_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -543,11 +553,18 @@ class TestPredict:
         mean, std = predict(build_gp(ds, KernelHyperParams(1.0, 0.1, np.ones(2))), np.empty((0, 2)))
         assert mean.shape == std.shape == (0,)
 
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value", "ignore:Degrees of freedom")
-    def test_model_of_no_points_gives_the_prior_stddev(self):
-        model = build_gp(Dataset(np.empty((0, 2)), []), KernelHyperParams(2.0, 0.1, np.ones(2)))
-        mean, std = predict(model, np.full((3, 2), 0.5))
-        assert mean.shape == (3,) and (std == 2.0).all()
+    @pytest.mark.parametrize("lengthscales", [1, 3])
+    def test_build_gp_dimension_mismatch(self, lengthscales):
+        ds = Dataset(np.array([[0.1, 0.2], [0.8, 0.9]]), np.array([0.0, 1.0]))
+        with pytest.raises(DimensionMismatchError):
+            build_gp(ds, KernelHyperParams(1.0, 0.1, np.ones(lengthscales)))
+
+    def test_singular_factor_raises(self):
+        # Only a hand-built model can hold a factor with a zero on its diagonal.
+        model = GpModel(KernelHyperParams(1.0, 0.1, np.ones(2)), np.full((2, 2), 0.5),
+                        np.zeros(2), np.array([[1.0, 0.0], [0.5, 0.0]]), 0.0, 1.0)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            predict(model, np.full((3, 2), 0.5))
 
     def test_nan_row_gives_nan_only_in_its_row(self):
         ds = Dataset(np.array([[0.1, 0.2], [0.8, 0.9]]), np.array([0.0, 1.0]))

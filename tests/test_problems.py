@@ -171,3 +171,26 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             Problem(name="x", dim=1, lower=np.ones(1), upper=np.zeros(1),
                     objective=lambda x: 0.0)
+
+    def test_bounds_must_match_the_dimension(self):
+        with pytest.raises(ValueError, match="dimension"):
+            Problem(name="x", dim=2, lower=np.zeros(3), upper=np.ones(3), objective=lambda x: 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bounds_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Problem(name="x", dim=2, lower=np.array([0.0, bad]), upper=np.ones(2),
+                    objective=lambda x: 0.0)
+
+    @pytest.mark.parametrize("dim", [0, -1, 1.0, True, "2", None])
+    def test_dimension_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match="^dim must"):
+            Problem(name="x", dim=dim, lower=np.zeros(0), upper=np.ones(0), objective=lambda x: 0.0)
+
+    def test_numpy_integer_dimension_accepted(self):
+        p = Problem(name="x", dim=np.int64(2), lower=np.zeros(2), upper=np.ones(2), objective=lambda x: 0.0)
+        assert evaluate(p, np.full(2, 0.5))[0] == 0.0
+
+    def test_point_of_the_wrong_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension 2"):
+            evaluate(builtin("branin"), np.full(3, 0.5))
