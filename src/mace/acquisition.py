@@ -17,11 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._compiled import load_extension
+from .demo import _require_counts
 from .errors import DimensionMismatchError
 
 erfc = load_extension("scipy.special._special_ufuncs").erfc
 
 STDDEV_FLOOR = 1e-10
+# PI/EI improvement jitter, and GP-UCB's LCB schedule constants (Srinivas et al., ICML 2010).
+XI = 0.001
+NU = 0.5
+DELTA = 0.05
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -29,7 +34,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class AcqContext:
-    """Shared acquisition state: incumbent value, jitter and LCB schedule knobs.
+    """Shared acquisition state: the incumbent value and the LCB schedule's position.
 
     ``t`` counts outer optimization iterations (1-based) and ``d`` is the
     input dimension; both feed the LCB beta schedule.
@@ -38,26 +43,15 @@ class AcqContext:
     tau: float
     d: int
     t: int = 1
-    xi: float = 0.001
-    nu: float = 0.5
-    delta: float = 0.05
 
     def __post_init__(self):
-        # Written so that NaN fails every check.
         if not math.isfinite(self.tau):
             raise ValueError("tau must be finite")
-        if not 0 <= self.xi < math.inf:
-            raise ValueError("xi must be finite and non-negative")
-        if not 0 < self.nu < math.inf:
-            raise ValueError("nu must be finite and positive")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.t < 1:
-            raise ValueError("t is 1-based")
+        _require_counts(self, "d", "t")
         if self.d < 1:
             raise ValueError("d must be at least 1")
-        if not math.isfinite(beta_schedule(self)):
-            raise ValueError("nu must leave the LCB beta finite")
+        if self.t < 1:
+            raise ValueError("t is 1-based")
 
 
 def std_normal_cdf(z):
@@ -75,13 +69,13 @@ def std_normal_pdf(z):
 
 
 def _improvement_margin(mean, stddev, ctx: AcqContext):
-    """(tau - xi - mean) / stddev with the stddev floored."""
+    """(tau - XI - mean) / stddev with the stddev floored."""
     s = np.maximum(np.asarray(stddev, dtype=float), STDDEV_FLOOR)
-    return (ctx.tau - ctx.xi - np.asarray(mean, dtype=float)) / s, s
+    return (ctx.tau - XI - np.asarray(mean, dtype=float)) / s, s
 
 
 def pi(mean, stddev, ctx: AcqContext):
-    """Probability that a normal posterior beats the incumbent by at least xi."""
+    """Probability that a normal posterior beats the incumbent by at least XI."""
     lam, _ = _improvement_margin(mean, stddev, ctx)
     return std_normal_cdf(lam)
 
@@ -89,7 +83,7 @@ def pi(mean, stddev, ctx: AcqContext):
 def ei(mean, stddev, ctx: AcqContext):
     """Expected improvement stddev * (lam * cdf(lam) + pdf(lam)); never negative.
 
-    At stddev exactly 0 the degenerate limit max(0, tau - xi - mean) is used
+    At stddev exactly 0 the degenerate limit max(0, tau - XI - mean) is used
     instead of the floored form, so certain non-improvements score exactly 0.
     """
     s_raw = np.asarray(stddev, dtype=float)
@@ -97,16 +91,16 @@ def ei(mean, stddev, ctx: AcqContext):
     cdf = std_normal_cdf(lam)
     # lam * cdf(lam) tends to 0 where cdf underflows; at lam = -inf the product would be NaN.
     val = s * (np.where(cdf > 0, lam, 0.0) * cdf + std_normal_pdf(lam))
-    margin = ctx.tau - ctx.xi - np.asarray(mean, dtype=float)
+    margin = ctx.tau - XI - np.asarray(mean, dtype=float)
     val = np.where(s_raw > 0, val, np.maximum(margin, 0.0))
     out = np.maximum(val, 0.0)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def beta_schedule(ctx: AcqContext) -> float:
-    """Confidence-bound coefficient sqrt(2 nu log(t^(d/2+2) pi^2 / (3 delta)))."""
+    """Confidence-bound coefficient sqrt(2 NU log(t^(d/2+2) pi^2 / (3 DELTA)))."""
     t_term = (0.5 * ctx.d + 2.0) * math.log(ctx.t)
-    return math.sqrt(2.0 * ctx.nu * (t_term + math.log(math.pi**2 / (3.0 * ctx.delta))))
+    return math.sqrt(2.0 * NU * (t_term + math.log(math.pi**2 / (3.0 * DELTA))))
 
 
 def lcb(mean, stddev, beta: float):

@@ -81,9 +81,6 @@ class ExperimentSpec:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
     @property
     def n_iter(self) -> int:
         return (self.budget - self.n_init) // self.batch

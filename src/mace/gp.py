@@ -144,10 +144,6 @@ class GpModel:
     y_scale: float
     jitter: float = 0.0
 
-    @property
-    def dim(self) -> int:
-        return self.X.shape[1]
-
 
 def kernel_se(x_i, x_j, hyp: KernelHyperParams) -> float:
     """Squared-exponential covariance between two points.
@@ -456,6 +452,9 @@ def predict(model: GpModel, x_star) -> tuple[np.ndarray, np.ndarray]:
     mean(x) = k(x, X) (K + noise^2 I)^-1 y and the variance is the prior
     variance minus the explained part, clamped at zero before the square root.
     Both outputs are de-standardized.  Scalars are returned for a single point.
+    A row's mean may differ in its last bits with the batch it sits in, since
+    one row and many take different BLAS paths through ``kernel_matrix`` and
+    ``k_star @ alpha``; the difference stays at the rounding level.
     """
     x = np.asarray(x_star, dtype=float)
     single = x.ndim == 1

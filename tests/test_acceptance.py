@@ -154,7 +154,7 @@ def test_criterion_2_acquisition_monte_carlo_oracle():
         mean = float(rng.uniform(-1, 1))
         stddev = float(rng.uniform(0.05, 1.0))
         tau = float(rng.uniform(-1, 1))
-        ctx = AcqContext(tau=tau, d=1, xi=0.001)
+        ctx = AcqContext(tau=tau, d=1)
         samples = np.random.default_rng(3000 + k).normal(mean, stddev, 1_000_000)
         thresh = tau - 0.001
         mc_ei = float(np.mean(np.maximum(thresh - samples, 0.0)))
@@ -173,7 +173,7 @@ def test_criterion_3_beta_formula():
             * mpmath.log(mpmath.mpf(1) ** (mpmath.mpf(1) / 2 + 2) * mpmath.pi**2
                          / (3 * mpmath.mpf("0.05")))
         ))
-    got = beta_schedule(AcqContext(tau=0.0, d=1, t=1, nu=0.5, delta=0.05))
+    got = beta_schedule(AcqContext(tau=0.0, d=1, t=1))
     ok = abs(got - 2.0461) <= 1e-4 and abs(got - expected) <= 1e-12
     report(3, ok, f"beta(t=1,d=1)={got:.6f}, oracle {expected:.6f}")
 

@@ -132,7 +132,7 @@ class TestParseConfig:
     def test_round_trip_identical(self, tmp_path):
         spec = parse_config(None, tiny_overrides(algorithm="sequential-ei"))
         path = tmp_path / "resolved.json"
-        path.write_text(spec.to_json())
+        path.write_text(json.dumps(spec.to_dict()))
         again = parse_config(path, None)
         assert again == spec
 
@@ -179,7 +179,7 @@ class TestParseConfig:
         assert parse_config(None, {"problem": "branin", "budget": 30.0, "batch": "3"}).batch == 3
 
     def test_acquisition_constants_are_unknown_keys(self, tmp_path, capsys):
-        # Keys that were removed: xi, nu and delta are AcqContext's defaults, and
+        # Keys that were removed: xi, nu and delta are mace.acquisition constants, and
         # a child that must cap its concurrent simulations queues them itself.
         path = tmp_path / "c.json"
         for key, text in (("xi", "0.01"), ("nu", "0.5"), ("delta", "0.1"), ("max_parallel", "2")):

