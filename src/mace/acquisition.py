@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._compiled import load_extension
-from .demo import _require_counts
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, _require_counts
 
 erfc = load_extension("scipy.special._special_ufuncs").erfc
 
@@ -47,11 +46,7 @@ class AcqContext:
     def __post_init__(self):
         if not math.isfinite(self.tau):
             raise ValueError("tau must be finite")
-        _require_counts(self, "d", "t")
-        if self.d < 1:
-            raise ValueError("d must be at least 1")
-        if self.t < 1:
-            raise ValueError("t is 1-based")
+        _require_counts(self, d=1, t=1)
 
 
 def std_normal_cdf(z):

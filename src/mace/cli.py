@@ -179,7 +179,8 @@ def parse_config(config_path=None, overrides: Optional[dict] = None) -> Experime
             _require(all(-np.inf < lo < hi < np.inf for lo, hi in merged["bounds"]), "bounds",
                      "must be finite, each lower below its upper")
     else:
-        merged.update(dim=None, n_constraints=None, bounds=None)
+        for key in ("dim", "n_constraints", "bounds"):
+            _require(merged[key] is None, key, "applies only to a cmd: problem")
     n_con = merged["n_constraints"] if external else builtin(problem_name).n_constraints
 
     if merged["mode"] is None:

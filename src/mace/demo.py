@@ -24,24 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvaluatorFaultError
+from .errors import DimensionMismatchError, EvaluatorFaultError, _require_counts
 
 # DE/rand/1 variation: mutation scale factor F and binomial crossover rate CR.
 SCALE_FACTOR = 0.8
 CROSSOVER_RATE = 0.9
 # Above this many members the archive is pruned by crowding distance.
 ARCHIVE_CAP = 600
-
-
-def _require_counts(config, *names: str) -> None:
-    """Raise ``ValueError`` naming the first of ``names`` whose value is not an integer.
-
-    numpy integers count; ``bool`` does not.
-    """
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,11 +41,7 @@ class DemoConfig:
     max_evaluations: int = 2000
 
     def __post_init__(self):
-        _require_counts(self, "population_size", "max_evaluations")
-        if self.population_size < 4:
-            raise ValueError("population_size must be at least 4")
-        if self.max_evaluations < self.population_size:
-            raise ValueError("max_evaluations must be at least population_size")
+        _require_counts(self, population_size=4, max_evaluations=self.population_size)
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,18 @@ import numpy as np
 
 from . import acquisition as acq
 from .acquisition import AcqContext
-from .demo import DemoConfig, ParetoSet, _require_counts, demo_optimize
-from .errors import DimensionMismatchError, EvaluatorFaultError
+from .demo import DemoConfig, ParetoSet, demo_optimize
+from .errors import DimensionMismatchError, EvaluatorFaultError, _require_counts
 from .gp import Dataset, GpModel, _one_blas_thread, fit_gp, predict
 from .problems import Problem, evaluate
 
-ENSEMBLE_ORDER = ("lcb", "pi", "ei")
+# Each ensemble member's objective column from the posterior (mu, s), in canonical order.
+_ACQ_COLUMN = {
+    "lcb": lambda mu, s, beta, ctx: acq.lcb(mu, s, beta),
+    "pi": lambda mu, s, beta, ctx: -acq.pi(mu, s, ctx),
+    "ei": lambda mu, s, beta, ctx: -acq.ei(mu, s, ctx),
+}
+ENSEMBLE_ORDER = tuple(_ACQ_COLUMN)
 MODES = ("unconstrained", "constrained")
 INIT_DESIGNS = ("lhs", "uniform")
 
@@ -51,15 +57,7 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ensemble", _canonical_ensemble(self.ensemble))
-        _require_counts(self, "n_iter", "batch_size", "n_init", "gp_restarts")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.n_init < 2:
-            raise ValueError("n_init must be at least 2")
-        if self.n_iter < 0:
-            raise ValueError("n_iter must be non-negative")
-        if self.gp_restarts < 1:
-            raise ValueError("gp_restarts must be at least 1")
+        _require_counts(self, n_iter=0, batch_size=1, n_init=2, gp_restarts=1)
         if not self.rho >= 0:
             raise ValueError("rho must be non-negative")
         if self.mode not in MODES:
@@ -244,21 +242,13 @@ def _canonical_ensemble(ensemble) -> tuple:
     if unknown:
         raise ValueError(f"unknown ensemble members: {sorted(unknown)}")
     if not names:
-        raise ValueError("ensemble must contain at least one of lcb, pi, ei")
+        raise ValueError(f"ensemble must contain at least one of {', '.join(ENSEMBLE_ORDER)}")
     return tuple(e for e in ENSEMBLE_ORDER if e in names)
 
 
 def _acq_columns(mu: np.ndarray, s: np.ndarray, coords: tuple, beta: float, ctx: AcqContext) -> list:
     """Acquisition objective columns (LCB, -PI, -EI) for the canonical ``coords``."""
-    cols = []
-    for name in coords:
-        if name == "lcb":
-            cols.append(acq.lcb(mu, s, beta))
-        elif name == "pi":
-            cols.append(-acq.pi(mu, s, ctx))
-        else:
-            cols.append(-acq.ei(mu, s, ctx))
-    return cols
+    return [_ACQ_COLUMN[name](mu, s, beta, ctx) for name in coords]
 
 
 def _constraint_posteriors(constraint_models, X: np.ndarray):

@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types and the count check shared across the package."""
+
+import numpy as np
+
+
+def _require_counts(owner, **minimums: int) -> None:
+    """Raise ``ValueError`` naming the first field of ``owner`` that is not an integer of at least its minimum.
+
+    Fields are checked in the order ``minimums`` names them; numpy integers count, ``bool`` does not.
+    """
+    for name, minimum in minimums.items():
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if value < minimum:
+            raise ValueError(f"{name} must be at least {minimum}")
 
 
 class DimensionMismatchError(ValueError):

@@ -12,8 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .demo import _require_counts
-from .errors import EvaluatorFaultError
+from .errors import EvaluatorFaultError, _require_counts
 
 
 @dataclass(frozen=True)
@@ -29,9 +28,7 @@ class Problem:
     known_optimum: Optional[float] = None
 
     def __post_init__(self):
-        _require_counts(self, "dim")
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
+        _require_counts(self, dim=1)
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         object.__setattr__(self, "lower", lower)

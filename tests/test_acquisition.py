@@ -244,13 +244,19 @@ class TestMonteCarloCrossCheck:
 
 class TestContextValidation:
     def test_bad_values_rejected(self):
-        with pytest.raises(ValueError, match="t is"):
+        with pytest.raises(ValueError, match="^t must be at least 1"):
             AcqContext(tau=0.0, d=1, t=0)
         with pytest.raises(ValueError, match="d must"):
             AcqContext(tau=0.0, d=0)
         for tau in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="tau"):
                 AcqContext(tau=tau, d=1)
+
+    @pytest.mark.parametrize("field", ["d", "t"])
+    def test_declared_minimums(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1$"):
+            AcqContext(tau=0.0, **{"d": 1, "t": 1, field: 0})
+        assert getattr(AcqContext(tau=0.0, **{"d": 2, "t": 2, field: 1}), field) == 1
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.5, True])
     @pytest.mark.parametrize("field", ["t", "d"])

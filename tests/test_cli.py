@@ -152,6 +152,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="dim"):
             parse_config(None, {"problem": "cmd:echo", "budget": 30})
 
+    @pytest.mark.parametrize("key, value", [("dim", 2), ("n_constraints", 1), ("bounds", [[0.0, 1.0], [0.0, 1.0]])])
+    def test_cmd_only_key_rejected_for_builtin(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: applies only to a cmd: problem$"):
+            parse_config(None, {"problem": "branin", "budget": 30, key: value})
+
+    def test_cmd_only_flag_exits_2_for_builtin(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_campaign", lambda spec: {"final_best": None, "success_count": 0})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--problem", "sphere10", "--budget", "30", "--nc", "1", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "n_constraints: applies only to a cmd: problem" in capsys.readouterr().err
+
     def test_omace_requires_constrained(self):
         with pytest.raises(ConfigError, match="algorithm"):
             parse_config(None, {"problem": "branin", "budget": 50, "algorithm": "omace"})

@@ -354,6 +354,12 @@ class TestDemoOptimize:
             DemoConfig(population_size=3)
         with pytest.raises(ValueError):
             DemoConfig(population_size=10, max_evaluations=5)
+        with pytest.raises(ValueError, match="^population_size must be at least 4$"):
+            DemoConfig(population_size=3, max_evaluations=10)
+        with pytest.raises(ValueError, match="^max_evaluations must be at least 10$"):
+            DemoConfig(population_size=10, max_evaluations=9)
+        assert DemoConfig(population_size=4, max_evaluations=10).population_size == 4
+        assert DemoConfig(population_size=10, max_evaluations=10).max_evaluations == 10
 
     @pytest.mark.parametrize("field", ["population_size", "max_evaluations"])
     @pytest.mark.parametrize("value", [40.5, 400.0, "400", None])

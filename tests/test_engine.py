@@ -620,6 +620,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="init_design"):
             RunConfig(n_iter=1, batch_size=1, init_design="grid")
 
+    @pytest.mark.parametrize("field, minimum", [("n_iter", 0), ("batch_size", 1), ("n_init", 2), ("gp_restarts", 1)])
+    def test_declared_minimums(self, field, minimum):
+        with pytest.raises(ValueError, match=f"^{field} must be at least {minimum}$"):
+            RunConfig(**{"n_iter": 1, "batch_size": 1, field: minimum - 1})
+        assert getattr(RunConfig(**{"n_iter": 1, "batch_size": 1, field: minimum}), field) == minimum
+
     @pytest.mark.parametrize("field", ["n_iter", "batch_size", "n_init", "gp_restarts"])
     @pytest.mark.parametrize("value", [1.5, 4.0, "4", True, None])
     def test_counts_must_be_integers(self, field, value):

@@ -187,6 +187,11 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="^dim must"):
             Problem(name="x", dim=dim, lower=np.zeros(0), upper=np.ones(0), objective=lambda x: 0.0)
 
+    def test_declared_minimum(self):
+        with pytest.raises(ValueError, match="^dim must be at least 1$"):
+            Problem(name="x", dim=0, lower=np.zeros(0), upper=np.ones(0), objective=lambda x: 0.0)
+        assert Problem(name="x", dim=1, lower=np.zeros(1), upper=np.ones(1), objective=lambda x: 0.0).dim == 1
+
     def test_numpy_integer_dimension_accepted(self):
         p = Problem(name="x", dim=np.int64(2), lower=np.zeros(2), upper=np.ones(2), objective=lambda x: 0.0)
         assert evaluate(p, np.full(2, 0.5))[0] == 0.0
