@@ -16,7 +16,6 @@ from .acquisition import (
 from .demo import DemoConfig, ParetoSet, demo_optimize, dominates, pareto_front
 from .engine import (
     BatchProposal,
-    Incumbent,
     RunConfig,
     RunRecord,
     build_stage1_objectives,
@@ -41,7 +40,6 @@ __all__ = [
     "DemoConfig",
     "FomSpec",
     "GpModel",
-    "Incumbent",
     "KernelHyperParams",
     "ParetoSet",
     "Problem",

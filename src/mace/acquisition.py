@@ -1,7 +1,8 @@
 """Closed-form acquisition and constraint-handling functions over GP posteriors.
 
 All functions broadcast over numpy arrays, so a whole candidate batch can be
-scored in one call.  Wherever a predictive stddev lands in a denominator it is
+scored in one call; scalar inputs give a numpy ``float64``, a ``float``
+subclass.  Wherever a predictive stddev lands in a denominator it is
 floored at ``STDDEV_FLOOR`` (exact interpolation gives stddev 0).
 
 The normal CDF uses scipy's ``erfc`` ufunc, loaded from its extension file
@@ -52,15 +53,13 @@ class AcqContext:
 def std_normal_cdf(z):
     """Standard normal CDF, via erfc for accuracy deep in the tails."""
     z = np.asarray(z, dtype=float)
-    out = 0.5 * erfc(-z / _SQRT2)
-    return float(out) if out.ndim == 0 else out
+    return 0.5 * erfc(-z / _SQRT2)
 
 
 def std_normal_pdf(z):
     """Standard normal density exp(-z^2/2) / sqrt(2 pi)."""
     z = np.asarray(z, dtype=float)
-    out = np.exp(-0.5 * z**2) * _INV_SQRT_2PI
-    return float(out) if out.ndim == 0 else out
+    return np.exp(-0.5 * z**2) * _INV_SQRT_2PI
 
 
 def _improvement_margin(mean, stddev, ctx: AcqContext):
@@ -88,8 +87,7 @@ def ei(mean, stddev, ctx: AcqContext):
     val = s * (np.where(cdf > 0, lam, 0.0) * cdf + std_normal_pdf(lam))
     margin = ctx.tau - XI - np.asarray(mean, dtype=float)
     val = np.where(s_raw > 0, val, np.maximum(margin, 0.0))
-    out = np.maximum(val, 0.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.maximum(val, 0.0)
 
 
 def beta_schedule(ctx: AcqContext) -> float:
@@ -100,8 +98,7 @@ def beta_schedule(ctx: AcqContext) -> float:
 
 def lcb(mean, stddev, beta: float):
     """Optimistic lower confidence bound mean - beta * stddev."""
-    out = np.asarray(mean, dtype=float) - beta * np.asarray(stddev, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return np.asarray(mean, dtype=float) - beta * np.asarray(stddev, dtype=float)
 
 
 def _as_constraint_arrays(means, stddevs=None):
@@ -125,15 +122,13 @@ def pf(constraint_means, constraint_stddevs):
     (n, n_constraints); the product is taken over the last axis.
     """
     mu, sigma = _as_constraint_arrays(constraint_means, constraint_stddevs)
-    out = np.prod(std_normal_cdf(-mu / sigma), axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.prod(std_normal_cdf(-mu / sigma), axis=-1)
 
 
 def naive_violation(constraint_means):
     """Total positive predicted constraint mass sum_i max(0, mu_i)."""
     mu, _ = _as_constraint_arrays(constraint_means)
-    out = np.sum(np.maximum(mu, 0.0), axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.sum(np.maximum(mu, 0.0), axis=-1)
 
 
 def adaptive_violation(constraint_means, constraint_stddevs):
@@ -143,5 +138,4 @@ def adaptive_violation(constraint_means, constraint_stddevs):
     on constraints the model is sure are broken.
     """
     mu, sigma = _as_constraint_arrays(constraint_means, constraint_stddevs)
-    out = np.sum(np.maximum(mu / sigma, 0.0), axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    return np.sum(np.maximum(mu / sigma, 0.0), axis=-1)

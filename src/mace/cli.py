@@ -470,7 +470,7 @@ def write_run_csv(path, record: RunRecord):
         writer = csv.writer(fh)
         writer.writerow(header)
         for row, inc in zip(record.evaluations, record.incumbent_trace):
-            incumbent = inc.value if inc is not None and inc.feasible else float("nan")
+            incumbent = inc.y if inc is not None and inc.feasible else float("nan")
             writer.writerow(
                 [row.iteration, row.eval_index, *row.x.tolist(), row.y, *row.c.tolist(),
                  int(row.feasible), row.provenance, incumbent, row.wall_ms]
@@ -499,7 +499,7 @@ def summarize_records(spec: ExperimentSpec, records: list) -> dict:
             {
                 "run": i,
                 "seed": spec.seed + i,
-                "final_best": inc.value if success else None,
+                "final_best": inc.y if success else None,
                 "final_feasible": bool(success),
                 "evals_to_first_feasible": rec.evals_to_first_feasible,
                 "evals_to_best": rec.evals_to_best,

@@ -57,7 +57,7 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ensemble", _canonical_ensemble(self.ensemble))
-        _require_counts(self, n_iter=0, batch_size=1, n_init=2, gp_restarts=1)
+        _require_counts(self, n_iter=0, batch_size=1, n_init=2, seed=0, gp_restarts=1)
         if not self.rho >= 0:
             raise ValueError("rho must be non-negative")
         if self.mode not in MODES:
@@ -89,30 +89,12 @@ class BatchProposal:
 
 
 @dataclass(frozen=True)
-class Incumbent:
-    """Best observation so far: feasibility first, then objective value.
-
-    For runs with no feasible point yet the ordering falls back to the total
-    observed constraint violation.  Ties keep the earliest observation.
-    """
-
-    point: np.ndarray
-    value: float
-    feasible: bool
-    total_violation: float
-    eval_index: int
-
-    def order_key(self) -> tuple:
-        primary = self.value if self.feasible else self.total_violation
-        return (0 if self.feasible else 1, primary)
-
-    def improves_on(self, other: Optional["Incumbent"]) -> bool:
-        return other is None or self.order_key() < other.order_key()
-
-
-@dataclass(frozen=True)
 class EvalRecord:
-    """One evaluator call: the point, its results and bookkeeping."""
+    """One evaluator call: the point, its results and bookkeeping.
+
+    ``RunRecord.incumbent_trace`` holds these records themselves, ranked by
+    ``order_key``.
+    """
 
     iteration: int
     eval_index: int
@@ -129,6 +111,15 @@ class EvalRecord:
     @property
     def feasible(self) -> bool:
         return not self.faulted and bool(_feasible(self.c))
+
+    @property
+    def value(self) -> float:
+        """Alias of ``y``, read only by ``perfbench/run.py``; it goes when ``RunConfig.mode`` does."""
+        return self.y
+
+    def order_key(self) -> tuple:
+        """Best-first rule: feasible records by ``y``, ahead of the rest by total violation."""
+        return (0, self.y) if self.feasible else (1, float(np.sum(np.maximum(self.c, 0.0))))
 
 
 @dataclass(frozen=True)
@@ -157,7 +148,7 @@ class RunRecord:
     incumbent_trace: list = field(default_factory=list)
 
     @property
-    def final_incumbent(self) -> Optional[Incumbent]:
+    def final_incumbent(self) -> Optional[EvalRecord]:
         return self.incumbent_trace[-1] if self.incumbent_trace else None
 
     @property
@@ -173,7 +164,11 @@ class RunRecord:
         return None if inc is None else inc.eval_index + 1
 
     def add_batch(self, iteration: int, X: np.ndarray, y: np.ndarray, C: np.ndarray, provenance, wall_ms: float):
-        """Append one evaluated batch and extend the incumbent trace point by point."""
+        """Append one evaluated batch and extend the incumbent trace point by point.
+
+        The incumbent is the best usable record so far by ``EvalRecord.order_key``;
+        ties keep the earliest.  The trace holds it (or None) after each record.
+        """
         B = X.shape[0]
         if y.shape != (B,) or C.shape != (B, self.n_constraints):
             raise DimensionMismatchError(f"evaluator returned y of shape {y.shape} and C of shape {C.shape} for "
@@ -183,11 +178,8 @@ class RunRecord:
             r = EvalRecord(iteration, len(self.evaluations), X[i].copy(), float(y[i]),
                            np.array(C[i], dtype=float), provenance[i], wall_ms)
             self.evaluations.append(r)
-            if not r.faulted:
-                cand = Incumbent(point=r.x, value=r.y, feasible=r.feasible,
-                                 total_violation=float(np.sum(np.maximum(r.c, 0.0))), eval_index=r.eval_index)
-                if cand.improves_on(incumbent):
-                    incumbent = cand
+            if not r.faulted and (incumbent is None or r.order_key() < incumbent.order_key()):
+                incumbent = r
             self.incumbent_trace.append(incumbent)
 
     def dataset(self, n_c: int) -> tuple[Dataset, np.ndarray]:
@@ -367,11 +359,12 @@ def _initial_design(config: RunConfig, dim: int, rng: np.random.Generator) -> np
 def _warm_start(dataset: Dataset, C: np.ndarray, cap: int) -> np.ndarray:
     """Observed points used to seed the inner solver's population (constrained runs).
 
-    Best observations first (feasible ones, ordered by objective, ahead of
-    infeasible ones ordered by total violation).  With a thin feasible region
-    the surrogate's predicted-feasible set shrinks to small neighborhoods of
-    the feasible observations, which a uniformly initialized population can
-    miss entirely; seeding the dataset keeps those neighborhoods in the pool.
+    Best observations first: ``EvalRecord.order_key`` over arrays (feasible
+    ones by objective, ahead of infeasible ones by total violation).  With a
+    thin feasible region the surrogate's predicted-feasible set shrinks to
+    small neighborhoods of the feasible observations, which a uniformly
+    initialized population can miss entirely; seeding the dataset keeps those
+    neighborhoods in the pool.
     """
     viol = np.sum(np.maximum(C, 0.0), axis=1)
     feasible = _feasible(C)

@@ -79,7 +79,8 @@ def evaluate(problem: Problem, x_unit) -> tuple[float, np.ndarray]:
     x_unit = np.atleast_1d(np.asarray(x_unit, dtype=float))
     if x_unit.shape != (problem.dim,):
         raise ValueError(f"expected a point of dimension {problem.dim}")
-    if x_unit.min() < -1e-12 or x_unit.max() > 1 + 1e-12:
+    # Written so that a NaN coordinate fails it.
+    if not (np.all(x_unit >= -1e-12) and np.all(x_unit <= 1 + 1e-12)):
         raise ValueError("point must lie in the unit cube")
     x = problem.denormalize(x_unit)
     y = float(problem.objective(x))

@@ -86,7 +86,7 @@ def ring_runs():
 
 
 def regrets(records):
-    return np.array([r.final_incumbent.value - BRANIN_OPT for r in records])
+    return np.array([r.final_incumbent.y - BRANIN_OPT for r in records])
 
 
 def first_feasible_or_inf(records):
@@ -96,7 +96,7 @@ def first_feasible_or_inf(records):
 
 
 def mean_final_or_inf(records):
-    vals = [r.final_incumbent.value for r in records
+    vals = [r.final_incumbent.y for r in records
             if r.final_incumbent is not None and r.final_incumbent.feasible]
     return float(np.mean(vals)) if vals else float("inf")
 
@@ -206,8 +206,8 @@ def test_criterion_4_pareto_brute_force_oracle():
 def test_criterion_5_branin_regret_beats_random(branin_b5, branin_random):
     records, elapsed = branin_b5
     med_regret = float(np.median(regrets(records)))
-    med_best = float(np.median([r.final_incumbent.value for r in records]))
-    med_random = float(np.median([r.final_incumbent.value for r in branin_random]))
+    med_best = float(np.median([r.final_incumbent.y for r in records]))
+    med_random = float(np.median([r.final_incumbent.y for r in branin_random]))
     ok = med_regret <= 0.2 and med_best <= med_random and elapsed < 600
     report(5, ok,
            f"median regret {med_regret:.4f} (<=0.2), median best {med_best:.4f} "
@@ -285,7 +285,7 @@ def test_criterion_10_ensemble_subsets():
             rec = run_unconstrained(problem, cfg)
             if len(rec.evaluations) != cfg.total_evaluations:
                 failures.append(f"{pair} seed {seed}: budget")
-            vals = [inc.value for inc in rec.incumbent_trace]
+            vals = [inc.y for inc in rec.incumbent_trace]
             if any(a < b for a, b in zip(vals, vals[1:])):
                 failures.append(f"{pair} seed {seed}: incumbent not monotone")
             for it in rec.iterations:

@@ -19,10 +19,12 @@ from mace.acquisition import AcqContext
 from mace.cli import write_run_csv
 from mace.demo import DemoConfig, ParetoSet
 from mace.engine import (
+    EvalRecord,
     RunConfig,
     RunRecord,
     _initial_design,
     _run,
+    _warm_start,
     build_stage1_objectives,
     build_stage2_objectives,
     build_unconstrained_objectives,
@@ -335,7 +337,7 @@ class TestRunUnconstrained:
         cfg = RunConfig(n_iter=10, batch_size=1, n_init=6, seed=5,
                         ensemble=("ei",), demo=SMALL_DEMO)
         rec = run_unconstrained(problem, cfg)
-        x_engine = rec.final_incumbent.point[0]
+        x_engine = rec.final_incumbent.x[0]
         x_oracle = grid_sequential_ei(problem, n_init=6, n_iter=10, seed=5)
         assert abs(x_engine - 0.63) <= 0.05
         assert abs(x_oracle - 0.63) <= 0.05
@@ -346,14 +348,14 @@ class TestRunUnconstrained:
         rec = run_unconstrained(problem, cfg)
         assert len(rec.evaluations) == 8
         ys = [r.y for r in rec.evaluations]
-        assert rec.final_incumbent.value == pytest.approx(min(ys))
+        assert rec.final_incumbent.y == pytest.approx(min(ys))
 
     def test_budget_exact_and_incumbent_monotone(self):
         problem = builtin("branin")
         cfg = RunConfig(n_iter=3, batch_size=4, n_init=6, seed=2, demo=SMALL_DEMO)
         rec = run_unconstrained(problem, cfg)
         assert len(rec.evaluations) == cfg.total_evaluations
-        vals = [inc.value for inc in rec.incumbent_trace]
+        vals = [inc.y for inc in rec.incumbent_trace]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_seed_determinism(self):
@@ -433,7 +435,7 @@ class TestRunUnconstrained:
         rec = run_unconstrained(problem, cfg, evaluator=dead_batch)
         assert len(rec.evaluations) == cfg.total_evaluations
         assert [r.faulted for r in rec.evaluations] == [r.iteration == 2 for r in rec.evaluations]
-        vals = [inc.value for inc in rec.incumbent_trace]
+        vals = [inc.y for inc in rec.incumbent_trace]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_objective_exceptions_fault_their_points(self):
@@ -449,7 +451,7 @@ class TestRunUnconstrained:
         faulted = [r.faulted for r in rec.evaluations]
         assert any(faulted)
         assert faulted == [bool(r.x[0] < 0.3) for r in rec.evaluations]
-        assert rec.final_incumbent.point[0] >= 0.3
+        assert rec.final_incumbent.x[0] >= 0.3
 
 class TestRunConstrained:
     def test_requires_constraints(self):
@@ -553,6 +555,22 @@ class TestRunConstrained:
 class TestFaultInjection:
     """A seeded 20% of all points fault, initial design included, under every runner."""
 
+    @staticmethod
+    def flaky(problem, injected: list):
+        """The problem's evaluator with a seeded 20% of points faulted; ``injected`` collects the hits."""
+        base = make_evaluator(problem)
+        inject = np.random.default_rng(17)
+
+        def evaluator(X):
+            y, C = base(X)
+            hit = inject.random(len(y)) < 0.2
+            y[hit] = np.nan
+            C[hit] = np.nan
+            injected.extend(hit.tolist())
+            return y, C
+
+        return evaluator
+
     @pytest.mark.parametrize("runner, problem_name, extra", [
         (run_unconstrained, "branin", {}),
         (run_constrained, "ring-constrained-2d", {"mode": "constrained"}),
@@ -561,20 +579,9 @@ class TestFaultInjection:
     ], ids=["unconstrained-branin", "mace-ring", "omace-ring", "random-ring"])
     def test_faults_recorded_and_never_incumbent(self, runner, problem_name, extra):
         problem = builtin(problem_name)
-        base = make_evaluator(problem)
-        inject = np.random.default_rng(17)
         injected = []
-
-        def flaky(X):
-            y, C = base(X)
-            hit = inject.random(len(y)) < 0.2
-            y[hit] = np.nan
-            C[hit] = np.nan
-            injected.extend(hit.tolist())
-            return y, C
-
         cfg = RunConfig(n_iter=5, batch_size=4, n_init=10, seed=3, gp_restarts=2, demo=SMALL_DEMO, **extra)
-        rec = runner(problem, cfg, evaluator=flaky)
+        rec = runner(problem, cfg, evaluator=self.flaky(problem, injected))
         assert len(rec.evaluations) == cfg.total_evaluations
         assert any(injected) and not all(injected)
         assert [r.faulted for r in rec.evaluations] == injected
@@ -584,6 +591,42 @@ class TestFaultInjection:
         assert started == sorted(started)
         keys = [inc.order_key() for inc in rec.incumbent_trace if inc is not None]
         assert all(a >= b for a, b in zip(keys, keys[1:]))
+
+    def test_trace_holds_the_evaluation_records(self):
+        problem = builtin("ring-constrained-2d")
+        injected = []
+        cfg = RunConfig(n_iter=3, batch_size=4, n_init=10, seed=3, gp_restarts=2, demo=SMALL_DEMO)
+        rec = run_constrained(problem, cfg, evaluator=self.flaky(problem, injected))
+        assert any(injected)
+        traced = [inc for inc in rec.incumbent_trace if inc is not None]
+        assert traced and all(inc is rec.evaluations[inc.eval_index] for inc in traced)
+        assert rec.final_incumbent is traced[-1]
+
+
+class TestEvalRecord:
+    @pytest.mark.parametrize("c, key", [
+        ([], (0, 1.5)),
+        ([-0.5, -2.0], (0, 1.5)),
+        ([0.0], (1, 0.0)),
+        ([0.5, -1.0, 2.0], (1, 2.5)),
+    ], ids=["unconstrained", "feasible", "on-the-boundary", "infeasible"])
+    def test_order_key(self, c, key):
+        assert EvalRecord(0, 0, np.zeros(2), 1.5, np.array(c, dtype=float), "init", 0.0).order_key() == key
+
+    def test_warm_start_vectorizes_order_key(self):
+        rng = np.random.default_rng(5)
+        X, y, C = rng.random((40, 2)), rng.normal(size=40), rng.normal(size=(40, 3))
+        y[[3, 11, 20]] = y[1]  # ties keep the earlier record
+        C[[1, 3, 11, 20]] = -1.0
+        y[::9], C[4::9] = np.nan, np.nan
+        rec = RunRecord("synthetic", "mace", 2, 3, RunConfig(n_iter=0, batch_size=1))
+        rec.add_batch(0, X, y, C, ["init"] * 40, 0.0)
+        usable = [r for r in rec.evaluations if not r.faulted]
+        assert 0 < sum(r.feasible for r in usable) < len(usable) < 40
+        expected = [r.x for r in sorted(usable, key=EvalRecord.order_key)]
+        ds, C_usable = rec.dataset(3)
+        for cap in (len(usable), 7):
+            np.testing.assert_array_equal(_warm_start(ds, C_usable, cap), expected[:cap])
 
 
 class TestRunRandom:
@@ -620,13 +663,14 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="init_design"):
             RunConfig(n_iter=1, batch_size=1, init_design="grid")
 
-    @pytest.mark.parametrize("field, minimum", [("n_iter", 0), ("batch_size", 1), ("n_init", 2), ("gp_restarts", 1)])
+    @pytest.mark.parametrize("field, minimum", [("n_iter", 0), ("batch_size", 1), ("n_init", 2), ("gp_restarts", 1),
+                                                ("seed", 0)])
     def test_declared_minimums(self, field, minimum):
         with pytest.raises(ValueError, match=f"^{field} must be at least {minimum}$"):
             RunConfig(**{"n_iter": 1, "batch_size": 1, field: minimum - 1})
         assert getattr(RunConfig(**{"n_iter": 1, "batch_size": 1, field: minimum}), field) == minimum
 
-    @pytest.mark.parametrize("field", ["n_iter", "batch_size", "n_init", "gp_restarts"])
+    @pytest.mark.parametrize("field", ["n_iter", "batch_size", "n_init", "gp_restarts", "seed"])
     @pytest.mark.parametrize("value", [1.5, 4.0, "4", True, None])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):

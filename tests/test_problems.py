@@ -151,10 +151,11 @@ class TestEvaluate:
             if ys.size:
                 assert ys.min() >= p.known_optimum - 1e-6
 
-    def test_out_of_cube_rejected(self):
+    @pytest.mark.parametrize("point", [[1.2, 0.5], [np.nan, 0.5]], ids=["outside", "nan"])
+    def test_out_of_cube_rejected(self, point):
         p = builtin("branin")
-        with pytest.raises(ValueError):
-            evaluate(p, np.array([1.2, 0.5]))
+        with pytest.raises(ValueError, match="unit cube"):
+            evaluate(p, np.array(point))
 
     def test_non_finite_objective_faults(self):
         bad = Problem(
