@@ -3,17 +3,18 @@
 import numpy as np
 
 
-def _require_counts(owner, **minimums: int) -> None:
-    """Raise ``ValueError`` naming the first field of ``owner`` that is not an integer of at least its minimum.
+def _require_count(name: str, value, minimum: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer of at least ``minimum``; numpy integers count, ``bool`` does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
 
-    Fields are checked in the order ``minimums`` names them; numpy integers count, ``bool`` does not.
-    """
+
+def _require_counts(owner, **minimums: int) -> None:
+    """``_require_count`` over fields of ``owner``, in the order ``minimums`` names them."""
     for name, minimum in minimums.items():
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
-        if value < minimum:
-            raise ValueError(f"{name} must be at least {minimum}")
+        _require_count(name, getattr(owner, name), minimum)
 
 
 class DimensionMismatchError(ValueError):

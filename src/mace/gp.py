@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._compiled import load_extension
-from .errors import DimensionMismatchError, FitFailureError, SingularKernelError
+from .errors import DimensionMismatchError, FitFailureError, SingularKernelError, _require_count
 
 # Box bounds for the hyperparameter search, in log space.
 _LOG_LENGTHSCALE_BOUNDS = (math.log(1e-2), math.log(10.0))
@@ -412,8 +412,7 @@ def fit_gp(dataset: Dataset, restarts: int, seed: int = 0) -> GpModel:
     Deterministic for a fixed seed: the first start is a fixed heuristic and the
     remaining ``restarts - 1`` are drawn log-uniformly inside the search box.
     """
-    if not restarts >= 1:
-        raise ValueError("restarts must be at least 1")
+    _require_count("restarts", restarts, 1)
     if dataset.n < 2 or np.unique(dataset.X, axis=0).shape[0] < 2:
         raise ValueError("fitting requires at least two distinct design points")
     d = dataset.dim

@@ -1,6 +1,7 @@
 """Engine tests: objective builders, pruning, batch sampling and the run loops."""
 
 import csv
+import itertools
 import os
 import subprocess
 import sys
@@ -179,7 +180,8 @@ class TestStageObjectives:
         assert -v_worse[0] < 1e-20 and -v_better[0] < 1e-20
         assert v_better[1] < v_worse[1] and v_better[2] < v_worse[2]
 
-    def test_stage2_six_coordinates_match_direct_calls(self):
+    @staticmethod
+    def _stage2_inputs():
         rng = np.random.default_rng(8)
         Xd, y, c = constraint_dataset(rng, feasible=True)
         obj_model = build_gp(
@@ -191,21 +193,48 @@ class TestStageObjectives:
             KernelHyperParams(1.0, 0.1, np.array([0.5, 0.5])),
         )
         tau = float(y[c < 0].min())
-        ctx = AcqContext(tau=tau, d=2, t=2)
-        fn = build_stage2_objectives(obj_model, [cmodel], ctx)
-        X = rng.random((5, 2))
-        out = fn(X)
-        assert out.shape == (5, 6)
+        return obj_model, [cmodel], AcqContext(tau=tau, d=2, t=2), rng.random((5, 2))
+
+    @pytest.mark.parametrize("ensemble", [subset for k in (1, 2, 3)
+                                          for subset in itertools.combinations(("lcb", "pi", "ei"), k)],
+                             ids="-".join)
+    def test_stage2_six_coordinates_match_direct_calls(self, ensemble):
+        obj_model, cmodels, ctx, X = self._stage2_inputs()
+        out = build_stage2_objectives(obj_model, cmodels, ctx, ensemble)(X)
+        assert out.shape == (5, len(ensemble) + 3)
         mu, s = predict(obj_model, X)
-        cmu, cs = predict(cmodel, X)
+        cmu, cs = predict(cmodels[0], X)
         cmu, cs = cmu[:, None], cs[:, None]
-        beta = acq.beta_schedule(ctx)
-        np.testing.assert_allclose(out[:, 0], acq.lcb(mu, s, beta))
-        np.testing.assert_allclose(out[:, 1], -acq.pi(mu, s, ctx))
-        np.testing.assert_allclose(out[:, 2], -acq.ei(mu, s, ctx))
-        np.testing.assert_allclose(out[:, 3], -acq.pf(cmu, cs))
-        np.testing.assert_allclose(out[:, 4], acq.naive_violation(cmu))
-        np.testing.assert_allclose(out[:, 5], acq.adaptive_violation(cmu, cs))
+        direct = {"lcb": acq.lcb(mu, s, acq.beta_schedule(ctx)), "pi": -acq.pi(mu, s, ctx),
+                  "ei": -acq.ei(mu, s, ctx)}
+        for j, name in enumerate(ensemble):
+            np.testing.assert_allclose(out[:, j], direct[name])
+        np.testing.assert_allclose(out[:, -3], -acq.pf(cmu, cs))
+        np.testing.assert_allclose(out[:, -2], acq.naive_violation(cmu))
+        np.testing.assert_allclose(out[:, -1], acq.adaptive_violation(cmu, cs))
+        composed = np.hstack([build_unconstrained_objectives(obj_model, ctx, ensemble)(X),
+                              build_stage1_objectives(cmodels)(X)])
+        assert out.tobytes() == composed.tobytes()
+
+    def test_stage2_bypasses_the_public_builder_names(self, monkeypatch):
+        # The tracer wraps each public builder's scorer in one span; stage 2
+        # composing through those names would nest the spans.
+        obj_model, cmodels, ctx, X = self._stage2_inputs()
+        expected = build_stage2_objectives(obj_model, cmodels, ctx)(X)
+        calls = []
+
+        def counting(name, builder):
+            def build(*args, **kwargs):
+                calls.append(name)
+                return builder(*args, **kwargs)
+
+            return build
+
+        for name in ("build_unconstrained_objectives", "build_stage1_objectives"):
+            monkeypatch.setattr(mace.engine, name, counting(name, getattr(mace.engine, name)))
+        out = build_stage2_objectives(obj_model, cmodels, ctx)(X)
+        assert calls == []
+        assert out.tobytes() == expected.tobytes()
 
     def test_stage2_feasible_point_dominates_on_constraint_coords(self):
         rng = np.random.default_rng(9)
@@ -675,6 +704,14 @@ class TestRunConfig:
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):
             RunConfig(**{"n_iter": 1, "batch_size": 1, field: value})
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_one_stage_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match="^one_stage must be a bool, "):
+            RunConfig(n_iter=1, batch_size=1, one_stage=value)
+
+    def test_numpy_bool_one_stage_accepted(self):
+        assert RunConfig(n_iter=1, batch_size=1, one_stage=np.bool_(True)).one_stage
 
     def test_numpy_integer_counts_accepted(self):
         cfg = RunConfig(n_iter=np.int64(1), batch_size=np.int32(2), n_init=np.int64(4),

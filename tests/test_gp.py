@@ -296,10 +296,10 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_gp(ds, restarts=2, seed=0)
 
-    @pytest.mark.parametrize("restarts", [0, -3])
+    @pytest.mark.parametrize("restarts", [0, -3, True, 2.0])
     def test_requires_a_restart(self, restarts):
         ds = random_dataset(np.random.default_rng(4), 10, 2)
-        with pytest.raises(ValueError, match="restarts"):
+        with pytest.raises(ValueError, match="^restarts must be "):
             fit_gp(ds, restarts=restarts, seed=0)
 
     def test_restarts_converge_on_noiseless_branin(self, monkeypatch):

@@ -1,4 +1,4 @@
-"""Print one ``group digest`` line per group of seeded runs.
+"""Print one ``group digest`` line for each of the 13 groups of seeded runs.
 
 A run's digest is the sha256 of ``repr(RunRecord.signature())``.  A group's
 digest is the first 16 hex digits of the sha256 of its runs' hex digests,
@@ -50,6 +50,8 @@ GROUPS = {
     **{f"single-{algo}": _spec(problem="ring-constrained-2d" if algo == "omace" else "branin",
                                algorithm=algo, **SMALL)
        for algo in ("mace", "omace", "random", "sequential-ei", "sequential-lcb")},
+    # Two-stage with a one-member ensemble (["ei"], B=1): stage 2 over a subset of the columns.
+    "ring-sequential-ei": _spec(problem="ring-constrained-2d", algorithm="sequential-ei", **SMALL),
     "ring-unconstrained": _spec(problem="ring-constrained-2d", mode="unconstrained", budget=60, batch=5),
 }
 
