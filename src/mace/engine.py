@@ -6,7 +6,8 @@ with differential evolution, and samples the batch from the Pareto set; under
 constraints it first hunts for a feasible point, then optimizes a
 feasibility-aware ensemble with candidate pruning.  Stage 1 reads only the
 constraint models, so it fits only those; the objective model is fitted from
-stage 2 on.  The random proposer draws uniform points.
+stage 2 on.  After its first fit, each model's fit restarts from its optimum
+at the previous iteration.  The random proposer draws uniform points.
 """
 
 from __future__ import annotations
@@ -126,7 +127,12 @@ class EvalRecord:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Per-iteration metadata: stage, pruning fallback and proposal diagnostics."""
+    """Per-iteration metadata: stage, pruning fallback and proposal diagnostics.
+
+    ``hyperparams`` holds each model's fitted ``KernelHyperParams``, or None
+    where the model was not fitted: the constraints first, then the objective.
+    The next iteration restarts each model's fit from its entry here.
+    """
 
     t: int
     stage: str
@@ -134,6 +140,7 @@ class IterationRecord:
     provenance: tuple
     objectives: np.ndarray
     adaptive_violations: Optional[np.ndarray]
+    hyperparams: tuple
 
 
 @dataclass
@@ -406,12 +413,16 @@ def _mace_proposer(problem: Problem, config: RunConfig, n_c: int):
         stage = "unconstrained"
         if n_c:
             stage = "stage2" if config.one_stage or feasible.any() else "stage1"
-        constraint_models = [fit_gp(Dataset(ds.X, C[:, j]), restarts=config.gp_restarts, seed=con_seeds[j])
+        # Each model's previous fit, constraints first; None for a first fit.
+        previous = rec.iterations[-1].hyperparams if rec.iterations else (None,) * (n_c + 1)
+        constraint_models = [fit_gp(Dataset(ds.X, C[:, j]), restarts=config.gp_restarts, seed=con_seeds[j],
+                                    previous=previous[j])
                              for j in range(n_c)]
+        objective_model = None
         if stage == "stage1":
             objective_fn = build_stage1_objectives(constraint_models)
         else:
-            objective_model = fit_gp(ds, restarts=config.gp_restarts, seed=obj_seed)
+            objective_model = fit_gp(ds, restarts=config.gp_restarts, seed=obj_seed, previous=previous[n_c])
             tau = float(ds.y[feasible].min()) if feasible.any() else float(ds.y.min())
             ctx = AcqContext(tau=tau, d=problem.dim, t=t)
             if stage == "stage2":
@@ -428,7 +439,8 @@ def _mace_proposer(problem: Problem, config: RunConfig, n_c: int):
         if n_c:
             mu, s = _constraint_posteriors(constraint_models, proposal.points)
             violations = acq.adaptive_violation(mu, s)
-        info = IterationRecord(t, stage, fallback, proposal.provenance, proposal.objectives, violations)
+        hyperparams = tuple(None if m is None else m.hyperparams for m in (*constraint_models, objective_model))
+        info = IterationRecord(t, stage, fallback, proposal.provenance, proposal.objectives, violations, hyperparams)
         return proposal.points, proposal.provenance, info
 
     return propose

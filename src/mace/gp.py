@@ -24,6 +24,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -406,16 +407,23 @@ def minimize(fun, x0, args, bounds) -> MinimizeResult:
     return MinimizeResult(fun=f, x=x, nfev=nfev, nit=nit, status=status)
 
 
-def fit_gp(dataset: Dataset, restarts: int, seed: int = 0) -> GpModel:
+def fit_gp(dataset: Dataset, restarts: int, seed: int = 0,
+           previous: Optional[KernelHyperParams] = None) -> GpModel:
     """Fit hyperparameters by multi-start maximization of the log evidence.
 
     Deterministic for a fixed seed: the first start is a fixed heuristic and the
     remaining ``restarts - 1`` are drawn log-uniformly inside the search box.
+    A refit passes ``previous``, the hyperparameters this model was last fitted
+    to; it then starts from the heuristic, from ``previous`` and from the first
+    random draw only (when ``restarts >= 2``), since a few new points seldom
+    move the optimum far.
     """
     _require_count("restarts", restarts, 1)
     if dataset.n < 2 or np.unique(dataset.X, axis=0).shape[0] < 2:
         raise ValueError("fitting requires at least two distinct design points")
     d = dataset.dim
+    if previous is not None and previous.dim != d:
+        raise DimensionMismatchError(f"previous fit has {previous.dim} lengthscales, data dimension {d}")
     y_std, _, _ = _standardize(dataset.y)
     diffs = dataset.X[:, None, :] - dataset.X[None, :, :]
     sqdists = np.ascontiguousarray(np.moveaxis(diffs**2, -1, 0))
@@ -426,7 +434,9 @@ def fit_gp(dataset: Dataset, restarts: int, seed: int = 0) -> GpModel:
 
     rng = np.random.default_rng(seed)
     starts = [np.concatenate([[0.0, math.log(0.1)], np.full(d, math.log(0.5))])]
-    for _ in range(restarts - 1):
+    if previous is not None:
+        starts.append(np.log([previous.signal_stddev, previous.noise_stddev, *previous.lengthscales]))
+    for _ in range(restarts - 1 if previous is None else min(restarts - 1, 1)):
         starts.append(rng.uniform(lo, hi))
 
     best_val, best_theta = np.inf, None

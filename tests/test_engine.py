@@ -1,6 +1,7 @@
 """Engine tests: objective builders, pruning, batch sampling and the run loops."""
 
 import csv
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -528,6 +529,52 @@ class TestRunConstrained:
         assert "stage1" in stages and "stage2" in stages
         n_c = problem.n_constraints
         assert len(calls) == sum(n_c + (s != "stage1") for s in stages)
+
+    @pytest.mark.parametrize("runner, problem_name", [(run_constrained, "ring-constrained-2d"),
+                                                      (run_unconstrained, "branin")])
+    def test_refits_start_from_the_previous_iterations_fits(self, monkeypatch, runner, problem_name):
+        calls = []  # (previous, fitted hyperparameters) per fit, in call order
+        original = mace.engine.fit_gp
+
+        def recording_fit_gp(dataset, restarts, seed=0, previous=None):
+            model = original(dataset, restarts, seed, previous)
+            calls.append((previous, model.hyperparams))
+            return model
+
+        monkeypatch.setattr(mace.engine, "fit_gp", recording_fit_gp)
+        problem = builtin(problem_name)
+        cfg = RunConfig(n_iter=4, batch_size=3, n_init=6, seed=3, gp_restarts=2, demo=SMALL_DEMO)
+        rec = runner(problem, cfg)
+        n_c = rec.n_constraints
+        fits = iter(calls)
+        last = (None,) * (n_c + 1)
+        for it in rec.iterations:
+            assert len(it.hyperparams) == n_c + 1
+            models = range(n_c) if it.stage == "stage1" else range(n_c + 1)
+            for j in models:
+                previous, fitted = next(fits)
+                assert previous is last[j]
+                assert it.hyperparams[j] is fitted
+            if it.stage == "stage1":
+                assert it.hyperparams[n_c] is None
+            last = it.hyperparams
+        assert next(fits, None) is None
+        stages = [it.stage for it in rec.iterations]
+        if n_c:
+            assert "stage1" in stages and "stage2" in stages
+        # The objective's first fit is cold, also when it comes after stage 1.
+        first_objective_fit = calls[n_c * (stages.count("stage1") + 1)]
+        assert first_objective_fit[0] is None
+
+    def test_hyperparams_stay_outside_the_signature(self):
+        problem = builtin("ring-constrained-2d")
+        cfg = RunConfig(n_iter=2, batch_size=3, n_init=6, seed=3, gp_restarts=2, demo=SMALL_DEMO)
+        rec = run_constrained(problem, cfg)
+        before = rec.signature()
+        assert all(len(it.hyperparams) == 2 for it in rec.iterations)
+        other = KernelHyperParams(1.0, 0.1, [0.5, 0.5])
+        rec.iterations = [dataclasses.replace(it, hyperparams=(other, None)) for it in rec.iterations]
+        assert rec.signature() == before
 
     def test_incumbent_ordering_feasible_first(self):
         problem = builtin("ring-constrained-2d")

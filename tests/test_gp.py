@@ -326,6 +326,66 @@ class TestFit:
         assert outcomes.count(False) <= 2
 
 
+class TestWarmFit:
+    """A refit from ``previous``: the heuristic start, ``previous`` and the first random draw."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """The ``x0`` of every ``minimize`` call, in call order."""
+        recorded = []
+        driver = gp.minimize
+
+        def recording(fun, x0, args, bounds):
+            recorded.append(np.array(x0, dtype=float))
+            return driver(fun, x0, args, bounds)
+
+        monkeypatch.setattr("mace.gp.minimize", recording)
+        return recorded
+
+    @staticmethod
+    def grown_data():
+        """Twelve points, then the same twelve and three more, as one iteration adds a batch."""
+        full = random_dataset(np.random.default_rng(21), 15, 3)
+        return Dataset(full.X[:12], full.y[:12]), full
+
+    @pytest.mark.parametrize("restarts, expected", [(5, 3), (2, 3), (1, 2)])
+    def test_at_most_three_starts(self, starts, restarts, expected):
+        first, grown = self.grown_data()
+        previous = fit_gp(first, restarts=5, seed=3).hyperparams
+        starts.clear()
+        fit_gp(grown, restarts=restarts, seed=4, previous=previous)
+        assert len(starts) == expected
+
+    def test_starts_are_heuristic_previous_then_first_draw(self, starts):
+        first, grown = self.grown_data()
+        previous = fit_gp(first, restarts=5, seed=3).hyperparams
+        starts.clear()
+        fit_gp(grown, restarts=5, seed=4)
+        cold = list(starts)
+        starts.clear()
+        fit_gp(grown, restarts=5, seed=4, previous=previous)
+        assert len(cold) == 5
+        assert starts[0].tobytes() == cold[0].tobytes()
+        expected = np.log([previous.signal_stddev, previous.noise_stddev, *previous.lengthscales])
+        assert starts[1].tobytes() == expected.tobytes()
+        assert starts[2].tobytes() == cold[1].tobytes()
+
+    @pytest.mark.parametrize("restarts", [1, 5])
+    @pytest.mark.parametrize("previous", [None, KernelHyperParams(3.0, 0.5, [5.0, 0.02, 2.0])],
+                             ids=["fitted-to-fewer-points", "far-off"])
+    def test_evidence_at_least_that_at_previous(self, restarts, previous):
+        first, grown = self.grown_data()
+        if previous is None:
+            previous = fit_gp(first, restarts=5, seed=3).hyperparams
+        model = fit_gp(grown, restarts=restarts, seed=4, previous=previous)
+        assert log_marginal_likelihood(grown, model.hyperparams) >= log_marginal_likelihood(grown, previous)
+
+    def test_previous_of_another_dimension_raises(self):
+        _, grown = self.grown_data()
+        with pytest.raises(DimensionMismatchError):
+            fit_gp(grown, restarts=5, seed=4, previous=KernelHyperParams(1.0, 0.1, [0.5, 0.5]))
+
+
 class TestMinimize:
     """The fit's L-BFGS-B driver against ``scipy.optimize.minimize`` on the evidence."""
 

@@ -1,0 +1,107 @@
+"""Print the result quality of seeded campaigns, one JSON line per group.
+
+Each group runs seeds 0-59 of one campaign shape and prints
+``{"group": ..., "runs": [...]}`` with, per seed, the final regret (the final
+feasible incumbent's value minus the known optimum; null when no feasible
+point was found), the evaluations to the first feasible point and the share
+of proposed points that are ``fallback-random`` padding.  The runs
+are deterministic, so two trees are compared by running this on each and
+then comparing the outputs::
+
+    python tools/quality_panel.py > change.jsonl
+    python tools/quality_panel.py --compare parent.jsonl change.jsonl
+
+The comparison prints, per group and measure, the median and interquartile
+range on each side and how many seeds the second file wins, loses and ties
+(lower is better for every measure; a missing regret loses to any value).
+It imports ``mace`` from this checkout's ``src/``.  All groups take several
+minutes on a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from mace.engine import RunConfig, run_constrained, run_unconstrained  # noqa: E402
+from mace.problems import builtin  # noqa: E402
+
+SEEDS = range(60)
+MEASURES = ("regret", "evals_to_first_feasible", "fallback_share")
+
+# Criterion 6's branin shapes, criterion 7's ring runs, and two more problems
+# at branin's B=5 budget: a constrained one and a 10-d unconstrained one.
+GROUPS = {
+    "branin-b5": (run_unconstrained, "branin", dict(n_iter=16, batch_size=5, n_init=20)),
+    "branin-b15": (run_unconstrained, "branin", dict(n_iter=5, batch_size=15, n_init=20)),
+    "ring-mace": (run_constrained, "ring-constrained-2d", dict(n_iter=20, batch_size=5, n_init=20)),
+    "ring-omace": (run_constrained, "ring-constrained-2d", dict(n_iter=20, batch_size=5, n_init=20, one_stage=True)),
+    "constrained-branin": (run_constrained, "constrained-branin", dict(n_iter=16, batch_size=5, n_init=20)),
+    "sphere10-b5": (run_unconstrained, "sphere10", dict(n_iter=16, batch_size=5, n_init=20)),
+}
+
+
+def measure(runner, problem_name: str, config: dict, seed: int) -> dict:
+    problem = builtin(problem_name)
+    rec = runner(problem, RunConfig(seed=seed, **config))
+    best = rec.final_incumbent
+    proposed = [r.provenance for r in rec.evaluations if r.iteration > 0]
+    return {
+        "seed": seed,
+        "regret": best.y - problem.known_optimum if best is not None and best.feasible else None,
+        "evals_to_first_feasible": rec.evals_to_first_feasible,
+        "fallback_share": proposed.count("fallback-random") / len(proposed) if proposed else 0.0,
+    }
+
+
+def _quartiles(values) -> str:
+    if not values:
+        return "none"
+    q1, q2, q3 = np.percentile(values, [25, 50, 75])
+    return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def compare(parent_path: str, change_path: str) -> None:
+    def load(path):
+        with open(path) as fh:
+            groups = [json.loads(line) for line in fh if line.strip()]
+        return {g["group"]: {r["seed"]: r for r in g["runs"]} for g in groups}
+
+    parent, change = load(parent_path), load(change_path)
+    for group in [g for g in parent if g in change]:
+        seeds = sorted(parent[group].keys() & change[group].keys())
+        for name in MEASURES:
+            a = [parent[group][s][name] for s in seeds]
+            b = [change[group][s][name] for s in seeds]
+            # None (nothing feasible) ranks after every value.
+            key = [(float("inf") if v is None else v) for v in a], [(float("inf") if v is None else v) for v in b]
+            wins = sum(y < x for x, y in zip(*key))
+            losses = sum(y > x for x, y in zip(*key))
+            print(f"{group:20s} {name:24s} n={len(seeds)}  "
+                  f"parent {_quartiles([v for v in a if v is not None])}  "
+                  f"change {_quartiles([v for v in b if v is not None])}  "
+                  f"change better/worse/tied {wins}/{losses}/{len(seeds) - wins - losses}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
+                        help="compare two outputs of this tool instead of running")
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
+    for name, (runner, problem_name, config) in GROUPS.items():
+        runs = [measure(runner, problem_name, config, seed) for seed in SEEDS]
+        print(json.dumps({"group": name, "runs": runs}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
