@@ -2,7 +2,6 @@
 acquisition-function ensemble, with a two-stage constrained mode."""
 
 from .acquisition import (
-    AcqContext,
     adaptive_violation,
     beta_schedule,
     ei,
@@ -29,16 +28,14 @@ from .engine import (
     sample_batch,
 )
 from .gp import Dataset, GpModel, KernelHyperParams, build_gp, fit_gp, kernel_se, log_marginal_likelihood, predict
-from .problems import FomSpec, Problem, builtin, evaluate, fom_weighted_sum
+from .problems import Problem, builtin, evaluate, fom_weighted_sum
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcqContext",
     "BatchProposal",
     "Dataset",
     "DemoConfig",
-    "FomSpec",
     "GpModel",
     "KernelHyperParams",
     "ParetoSet",

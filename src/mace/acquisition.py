@@ -3,7 +3,10 @@
 All functions broadcast over numpy arrays, so a whole candidate batch can be
 scored in one call; scalar inputs give a numpy ``float64``, a ``float``
 subclass.  Wherever a predictive stddev lands in a denominator it is
-floored at ``STDDEV_FLOOR`` (exact interpolation gives stddev 0).
+floored at ``STDDEV_FLOOR`` (exact interpolation gives stddev 0).  Each
+function takes only the values it reads: PI and EI the incumbent ``tau``,
+LCB a coefficient ``beta``, which ``beta_schedule(d, t)`` computes from the
+input dimension and the iteration.
 
 The normal CDF uses scipy's ``erfc`` ufunc, loaded from its extension file
 (``scipy/special/_special_ufuncs``) so that importing this module does not run
@@ -13,12 +16,11 @@ The normal CDF uses scipy's ``erfc`` ufunc, loaded from its extension file
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._compiled import load_extension
-from .errors import DimensionMismatchError, _require_counts
+from .errors import DimensionMismatchError, _require_count
 
 erfc = load_extension("scipy.special._special_ufuncs").erfc
 
@@ -30,24 +32,6 @@ DELTA = 0.05
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class AcqContext:
-    """Shared acquisition state: the incumbent value and the LCB schedule's position.
-
-    ``t`` counts outer optimization iterations (1-based) and ``d`` is the
-    input dimension; both feed the LCB beta schedule.
-    """
-
-    tau: float
-    d: int
-    t: int = 1
-
-    def __post_init__(self):
-        if not math.isfinite(self.tau):
-            raise ValueError("tau must be finite")
-        _require_counts(self, d=1, t=1)
 
 
 def std_normal_cdf(z):
@@ -62,37 +46,45 @@ def std_normal_pdf(z):
     return np.exp(-0.5 * z**2) * _INV_SQRT_2PI
 
 
-def _improvement_margin(mean, stddev, ctx: AcqContext):
-    """(tau - XI - mean) / stddev with the stddev floored."""
+def _improvement_margin(mean, stddev, tau: float):
+    """(tau - XI - mean) / stddev with the stddev floored; the incumbent ``tau`` must be finite."""
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
     s = np.maximum(np.asarray(stddev, dtype=float), STDDEV_FLOOR)
-    return (ctx.tau - XI - np.asarray(mean, dtype=float)) / s, s
+    return (tau - XI - np.asarray(mean, dtype=float)) / s, s
 
 
-def pi(mean, stddev, ctx: AcqContext):
-    """Probability that a normal posterior beats the incumbent by at least XI."""
-    lam, _ = _improvement_margin(mean, stddev, ctx)
+def pi(mean, stddev, tau: float):
+    """Probability that a normal posterior beats the incumbent ``tau`` by at least XI."""
+    lam, _ = _improvement_margin(mean, stddev, tau)
     return std_normal_cdf(lam)
 
 
-def ei(mean, stddev, ctx: AcqContext):
-    """Expected improvement stddev * (lam * cdf(lam) + pdf(lam)); never negative.
+def ei(mean, stddev, tau: float):
+    """Expected improvement over the incumbent ``tau``: stddev * (lam * cdf(lam) + pdf(lam)), never negative.
 
     At stddev exactly 0 the degenerate limit max(0, tau - XI - mean) is used
     instead of the floored form, so certain non-improvements score exactly 0.
     """
     s_raw = np.asarray(stddev, dtype=float)
-    lam, s = _improvement_margin(mean, s_raw, ctx)
+    lam, s = _improvement_margin(mean, s_raw, tau)
     cdf = std_normal_cdf(lam)
     # lam * cdf(lam) tends to 0 where cdf underflows; at lam = -inf the product would be NaN.
     val = s * (np.where(cdf > 0, lam, 0.0) * cdf + std_normal_pdf(lam))
-    margin = ctx.tau - XI - np.asarray(mean, dtype=float)
+    margin = tau - XI - np.asarray(mean, dtype=float)
     val = np.where(s_raw > 0, val, np.maximum(margin, 0.0))
     return np.maximum(val, 0.0)
 
 
-def beta_schedule(ctx: AcqContext) -> float:
-    """Confidence-bound coefficient sqrt(2 NU log(t^(d/2+2) pi^2 / (3 DELTA)))."""
-    t_term = (0.5 * ctx.d + 2.0) * math.log(ctx.t)
+def beta_schedule(d: int, t: int) -> float:
+    """Confidence-bound coefficient sqrt(2 NU log(t^(d/2+2) pi^2 / (3 DELTA))).
+
+    ``d`` is the input dimension and ``t`` the 1-based outer iteration; both
+    must be integers of at least 1.
+    """
+    _require_count("d", d, 1)
+    _require_count("t", t, 1)
+    t_term = (0.5 * d + 2.0) * math.log(t)
     return math.sqrt(2.0 * NU * (t_term + math.log(math.pi**2 / (3.0 * DELTA))))
 
 

@@ -19,17 +19,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import acquisition as acq
-from .acquisition import AcqContext
 from .demo import DemoConfig, ParetoSet, demo_optimize
 from .errors import DimensionMismatchError, EvaluatorFaultError, _require_counts
 from .gp import Dataset, GpModel, _one_blas_thread, fit_gp, predict
 from .problems import Problem, evaluate
 
-# Each ensemble member's objective column from the posterior (mu, s), in canonical order.
+# Each ensemble member's objective column, in canonical order, from the posterior
+# (mu, s), the incumbent tau (read by PI and EI) and LCB's coefficient beta.
 _ACQ_COLUMN = {
-    "lcb": lambda mu, s, beta, ctx: acq.lcb(mu, s, beta),
-    "pi": lambda mu, s, beta, ctx: -acq.pi(mu, s, ctx),
-    "ei": lambda mu, s, beta, ctx: -acq.ei(mu, s, ctx),
+    "lcb": lambda mu, s, tau, beta: acq.lcb(mu, s, beta),
+    "pi": lambda mu, s, tau, beta: -acq.pi(mu, s, tau),
+    "ei": lambda mu, s, tau, beta: -acq.ei(mu, s, tau),
 }
 ENSEMBLE_ORDER = tuple(_ACQ_COLUMN)
 MODES = ("unconstrained", "constrained")
@@ -254,14 +254,18 @@ def _constraint_posteriors(constraint_models, X: np.ndarray):
     return means, stds
 
 
-def build_unconstrained_objectives(model: GpModel, ctx: AcqContext, ensemble=ENSEMBLE_ORDER):
-    """Vector objective (LCB, -PI, -EI), restricted to the configured ensemble."""
+def build_unconstrained_objectives(model: GpModel, tau: float, t: int = 1, ensemble=ENSEMBLE_ORDER):
+    """Vector objective (LCB, -PI, -EI), restricted to the configured ensemble.
+
+    PI and EI improve on the incumbent ``tau``; LCB's beta is the schedule at
+    iteration ``t`` and the model's input dimension.
+    """
     coords = _canonical_ensemble(ensemble)
-    beta = acq.beta_schedule(ctx)
+    beta = acq.beta_schedule(model.X.shape[1], t)
 
     def objectives(X: np.ndarray) -> np.ndarray:
         mu, s = predict(model, np.atleast_2d(X))
-        return np.column_stack([_ACQ_COLUMN[name](mu, s, beta, ctx) for name in coords])
+        return np.column_stack([_ACQ_COLUMN[name](mu, s, tau, beta) for name in coords])
 
     return objectives
 
@@ -284,10 +288,11 @@ def build_stage1_objectives(constraint_models):
 _acquisition_block, _feasibility_block = build_unconstrained_objectives, build_stage1_objectives
 
 
-def build_stage2_objectives(objective_model: GpModel, constraint_models, ctx: AcqContext, ensemble=ENSEMBLE_ORDER):
+def build_stage2_objectives(objective_model: GpModel, constraint_models, tau: float, t: int = 1,
+                            ensemble=ENSEMBLE_ORDER):
     """Constrained ensemble: the unconstrained columns, then the stage-1 feasibility columns."""
     feasibility = _feasibility_block(constraint_models)
-    acquisition = _acquisition_block(objective_model, ctx, ensemble)
+    acquisition = _acquisition_block(objective_model, tau, t, ensemble)
     return lambda X: np.hstack([acquisition(X), feasibility(X)])
 
 
@@ -424,11 +429,10 @@ def _mace_proposer(problem: Problem, config: RunConfig, n_c: int):
         else:
             objective_model = fit_gp(ds, restarts=config.gp_restarts, seed=obj_seed, previous=previous[n_c])
             tau = float(ds.y[feasible].min()) if feasible.any() else float(ds.y.min())
-            ctx = AcqContext(tau=tau, d=problem.dim, t=t)
             if stage == "stage2":
-                objective_fn = build_stage2_objectives(objective_model, constraint_models, ctx, config.ensemble)
+                objective_fn = build_stage2_objectives(objective_model, constraint_models, tau, t, config.ensemble)
             else:
-                objective_fn = build_unconstrained_objectives(objective_model, ctx, config.ensemble)
+                objective_fn = build_unconstrained_objectives(objective_model, tau, t, config.ensemble)
         warm = _warm_start(ds, C, config.demo.population_size // 2) if n_c else None
         pareto = demo_optimize(objective_fn, problem.dim, config.demo, seed=demo_seed, initial_points=warm)
         fallback = False

@@ -1,4 +1,4 @@
-"""Exception types and the count check shared across the package."""
+"""Exception types and the count and unit-cube checks shared across the package."""
 
 import numpy as np
 
@@ -9,6 +9,13 @@ def _require_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer, not {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}")
+
+
+def _require_unit_cube(what: str, points) -> None:
+    """Raise ``ValueError`` naming ``what`` unless every coordinate of ``points`` is in [0, 1], give or take 1e-12."""
+    # Written so that a NaN coordinate fails it.
+    if not (np.all(points >= -1e-12) and np.all(points <= 1 + 1e-12)):
+        raise ValueError(f"{what} must lie in the unit cube")
 
 
 def _require_counts(owner, **minimums: int) -> None:

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EvaluatorFaultError, _require_counts
+from .errors import EvaluatorFaultError, _require_counts, _require_unit_cube
 
 
 @dataclass(frozen=True)
@@ -51,25 +51,16 @@ class Problem:
         return (np.asarray(x, dtype=float) - self.lower) / (self.upper - self.lower)
 
 
-@dataclass(frozen=True)
-class FomSpec:
-    """Weighted combination of performance metrics, minimized as one scalar."""
-
-    weights: tuple
-    metrics: tuple
-
-    def __post_init__(self):
-        if len(self.weights) < 1 or len(self.weights) != len(self.metrics):
-            raise ValueError("need one finite weight per metric, at least one metric")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite")
-
-
-def fom_weighted_sum(spec: FomSpec) -> Callable[[np.ndarray], float]:
-    """Return x -> sum_i w_i * f_i(x)."""
+def fom_weighted_sum(weights, metrics) -> Callable[[np.ndarray], float]:
+    """Weighted combination of performance metrics, minimized as one scalar: x -> sum_i w_i * f_i(x)."""
+    weights, metrics = tuple(weights), tuple(metrics)
+    if len(weights) < 1 or len(weights) != len(metrics):
+        raise ValueError("need one finite weight per metric, at least one metric")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
 
     def fom(x: np.ndarray) -> float:
-        return float(sum(w * f(x) for w, f in zip(spec.weights, spec.metrics)))
+        return float(sum(w * f(x) for w, f in zip(weights, metrics)))
 
     return fom
 
@@ -79,9 +70,7 @@ def evaluate(problem: Problem, x_unit) -> tuple[float, np.ndarray]:
     x_unit = np.atleast_1d(np.asarray(x_unit, dtype=float))
     if x_unit.shape != (problem.dim,):
         raise ValueError(f"expected a point of dimension {problem.dim}")
-    # Written so that a NaN coordinate fails it.
-    if not (np.all(x_unit >= -1e-12) and np.all(x_unit <= 1 + 1e-12)):
-        raise ValueError("point must lie in the unit cube")
+    _require_unit_cube("point", x_unit)
     x = problem.denormalize(x_unit)
     y = float(problem.objective(x))
     if not np.isfinite(y):
@@ -156,7 +145,7 @@ _AMP_ANCHOR = np.array([0.62, 0.31, 0.48, 0.55, 0.7, 0.44, 0.36, 0.58, 0.52, 0.6
 _AMP_PHASE = np.array([0.15, 0.85, 0.4, 0.6, 0.25, 0.75, 0.5, 0.1, 0.9, 0.35])
 
 
-def _amp_mimic_spec() -> FomSpec:
+def _amp_mimic_objective() -> Callable[[np.ndarray], float]:
     # Smooth multimodal stand-in for a 10-variable sizing task: a quadratic
     # "power" term plus an oscillatory "gain" term (maximized, hence negated).
     def power_like(x):
@@ -165,7 +154,7 @@ def _amp_mimic_spec() -> FomSpec:
     def gain_like(x):
         return float(np.mean(np.cos(3.0 * np.pi * (x - _AMP_PHASE))))
 
-    return FomSpec(weights=(1.0, 0.35), metrics=(power_like, lambda x: -gain_like(x)))
+    return fom_weighted_sum((1.0, 0.35), (power_like, lambda x: -gain_like(x)))
 
 
 def _amp_constraint_budget(x: np.ndarray) -> float:
@@ -238,7 +227,7 @@ _BUILTINS = {
         dim=10,
         lower=np.zeros(10),
         upper=np.ones(10),
-        objective=fom_weighted_sum(_amp_mimic_spec()),
+        objective=_amp_mimic_objective(),
         constraints=(_amp_constraint_budget, _amp_constraint_spread),
     ),
 }

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mace import acquisition as acq
-from mace.acquisition import AcqContext, beta_schedule, ei, pi
+from mace.acquisition import beta_schedule, ei, pi
 from mace.cli import parse_config, run_campaign
 from mace.demo import pareto_front
 from mace.engine import RunConfig, run_constrained, run_random, run_unconstrained
@@ -154,13 +154,12 @@ def test_criterion_2_acquisition_monte_carlo_oracle():
         mean = float(rng.uniform(-1, 1))
         stddev = float(rng.uniform(0.05, 1.0))
         tau = float(rng.uniform(-1, 1))
-        ctx = AcqContext(tau=tau, d=1)
         samples = np.random.default_rng(3000 + k).normal(mean, stddev, 1_000_000)
         thresh = tau - 0.001
         mc_ei = float(np.mean(np.maximum(thresh - samples, 0.0)))
         mc_pi = float(np.mean(samples < thresh))
-        worst_ei = max(worst_ei, abs(ei(mean, stddev, ctx) - mc_ei))
-        worst_pi = max(worst_pi, abs(pi(mean, stddev, ctx) - mc_pi))
+        worst_ei = max(worst_ei, abs(ei(mean, stddev, tau) - mc_ei))
+        worst_pi = max(worst_pi, abs(pi(mean, stddev, tau) - mc_pi))
     elapsed = time.perf_counter() - start
     report(2, worst_ei < 3e-3 and worst_pi < 3e-3 and elapsed < 60,
            f"max |EI-MC| {worst_ei:.1e}, max |PI-MC| {worst_pi:.1e}, {elapsed:.1f}s")
@@ -173,7 +172,7 @@ def test_criterion_3_beta_formula():
             * mpmath.log(mpmath.mpf(1) ** (mpmath.mpf(1) / 2 + 2) * mpmath.pi**2
                          / (3 * mpmath.mpf("0.05")))
         ))
-    got = beta_schedule(AcqContext(tau=0.0, d=1, t=1))
+    got = beta_schedule(1, 1)
     ok = abs(got - 2.0461) <= 1e-4 and abs(got - expected) <= 1e-12
     report(3, ok, f"beta(t=1,d=1)={got:.6f}, oracle {expected:.6f}")
 

@@ -1,6 +1,7 @@
 """Acquisition function tests: closed forms vs Monte-Carlo and high-precision oracles."""
 
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mace.acquisition import (
-    AcqContext,
     adaptive_violation,
     beta_schedule,
     ei,
@@ -61,38 +61,37 @@ class TestNormalHelpers:
 
 class TestPI:
     def test_zero_margin_gives_half(self):
-        ctx = AcqContext(tau=1.0, d=1)
-        assert pi(0.999, 0.5, ctx) == pytest.approx(0.5)
+        tau = 1.0
+        assert pi(0.999, 0.5, tau) == pytest.approx(0.5)
 
     def test_near_certain_improvement(self):
-        ctx = AcqContext(tau=0.001, d=1)  # tau - XI = 0
-        assert pi(-10.0, 1.0, ctx) >= 1 - 1e-15
+        tau = 0.001  # tau - XI = 0
+        assert pi(-10.0, 1.0, tau) >= 1 - 1e-15
 
     def test_half_sigma_below(self):
-        ctx = AcqContext(tau=0.0, d=1)
+        tau = 0.0
         expected = float(0.5 * mpmath.erfc(mpmath.mpf("0.5") / mpmath.sqrt(2)))
-        assert pi(0.499, 1.0, ctx) == pytest.approx(expected, abs=1e-12)
-        assert pi(0.499, 1.0, ctx) == pytest.approx(0.30854, abs=1e-5)
+        assert pi(0.499, 1.0, tau) == pytest.approx(expected, abs=1e-12)
+        assert pi(0.499, 1.0, tau) == pytest.approx(0.30854, abs=1e-5)
 
     @settings(max_examples=40, deadline=None)
     @given(finite_floats, pos_floats, finite_floats)
     def test_monotone_in_mean(self, mean, stddev, tau):
-        ctx = AcqContext(tau=tau, d=1)
-        assert pi(mean - 0.5, stddev, ctx) >= pi(mean, stddev, ctx)
+        assert pi(mean - 0.5, stddev, tau) >= pi(mean, stddev, tau)
 
 
 class TestEI:
     def test_zero_margin_value(self):
-        ctx = AcqContext(tau=0.001, d=1)  # lambda = 0
-        assert ei(0.0, 1.0, ctx) == pytest.approx(0.3989423, abs=1e-7)
+        tau = 0.001  # lambda = 0
+        assert ei(0.0, 1.0, tau) == pytest.approx(0.3989423, abs=1e-7)
 
     def test_no_uncertainty_no_improvement(self):
-        ctx = AcqContext(tau=0.0, d=1)
-        assert ei(1.0, 0.0, ctx) == 0.0
+        tau = 0.0
+        assert ei(1.0, 0.0, tau) == 0.0
 
     def test_unit_margin_closed_form_and_monte_carlo(self):
-        ctx = AcqContext(tau=0.001, d=1)  # tau - XI = 0
-        val = ei(-1.0, 1.0, ctx)
+        tau = 0.001  # tau - XI = 0
+        val = ei(-1.0, 1.0, tau)
         phi1 = float(0.5 * mpmath.erfc(-1 / mpmath.sqrt(2)))
         pdf1 = math.exp(-0.5) / math.sqrt(2 * math.pi)
         assert val == pytest.approx(1.0 * (1.0 * phi1 + pdf1), abs=1e-5)
@@ -103,39 +102,36 @@ class TestEI:
     @settings(max_examples=40, deadline=None)
     @given(finite_floats, st.floats(0, 20, allow_nan=False), finite_floats)
     def test_never_negative(self, mean, stddev, tau):
-        ctx = AcqContext(tau=tau, d=1)
-        assert ei(mean, stddev, ctx) >= 0.0
+        assert ei(mean, stddev, tau) >= 0.0
 
     def test_zero_when_no_spread_and_no_margin(self):
-        ctx = AcqContext(tau=1.0, d=1)
-        assert ei(1.0, 0.0, ctx) == 0.0          # mean == tau > tau - XI
-        assert ei(0.999, 0.0, ctx) == 0.0        # mean == tau - XI exactly
+        tau = 1.0
+        assert ei(1.0, 0.0, tau) == 0.0          # mean == tau > tau - XI
+        assert ei(0.999, 0.0, tau) == 0.0        # mean == tau - XI exactly
 
     @settings(max_examples=40, deadline=None)
     @given(finite_floats, pos_floats, finite_floats)
     def test_monotone_in_mean(self, mean, stddev, tau):
-        ctx = AcqContext(tau=tau, d=1)
-        assert ei(mean - 0.5, stddev, ctx) >= ei(mean, stddev, ctx)
+        assert ei(mean - 0.5, stddev, tau) >= ei(mean, stddev, tau)
 
     def test_finite_where_the_margin_overflows(self):
         # At stddev 1e-3 the margin is -inf, where lam * cdf(lam) takes its limit 0.
-        ctx = AcqContext(tau=0.0, d=1)
+        tau = 0.0
         with np.errstate(over="ignore"):
-            assert ei(np.array([1e308, 1e308]), np.array([1.0, 1e-3]), ctx).tolist() == [0.0, 0.0]
+            assert ei(np.array([1e308, 1e308]), np.array([1.0, 1e-3]), tau).tolist() == [0.0, 0.0]
 
 
 class TestBetaSchedule:
     def test_reference_value(self):
-        ctx = AcqContext(tau=0.0, d=1, t=1)
         with mpmath.workdps(50):
             expected = float(
                 mpmath.sqrt(2 * mpmath.mpf("0.5") * mpmath.log(mpmath.pi**2 / (3 * mpmath.mpf("0.05"))))
             )
-        assert beta_schedule(ctx) == pytest.approx(expected, abs=1e-12)
-        assert beta_schedule(ctx) == pytest.approx(2.0461, abs=1e-4)
+        assert beta_schedule(1, 1) == pytest.approx(expected, abs=1e-12)
+        assert beta_schedule(1, 1) == pytest.approx(2.0461, abs=1e-4)
 
     def test_strictly_increasing_in_t(self):
-        vals = [beta_schedule(AcqContext(tau=0.0, d=3, t=t)) for t in range(1, 30)]
+        vals = [beta_schedule(3, t) for t in range(1, 30)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -221,11 +217,9 @@ class TestShiftInvariance:
     @settings(max_examples=30, deadline=None)
     @given(finite_floats, pos_floats, finite_floats, st.floats(-30, 30, allow_nan=False))
     def test_target_shift(self, mean, stddev, tau, c):
-        ctx = AcqContext(tau=tau, d=2, t=3)
-        ctx_shift = AcqContext(tau=tau + c, d=2, t=3)
-        assert pi(mean + c, stddev, ctx_shift) == pytest.approx(pi(mean, stddev, ctx), abs=1e-12)
-        assert ei(mean + c, stddev, ctx_shift) == pytest.approx(ei(mean, stddev, ctx), abs=1e-9)
-        beta = beta_schedule(ctx)
+        assert pi(mean + c, stddev, tau + c) == pytest.approx(pi(mean, stddev, tau), abs=1e-12)
+        assert ei(mean + c, stddev, tau + c) == pytest.approx(ei(mean, stddev, tau), abs=1e-9)
+        beta = beta_schedule(2, 3)
         assert lcb(mean + c, stddev, beta) == pytest.approx(lcb(mean, stddev, beta) + c, abs=1e-9)
 
 
@@ -236,39 +230,46 @@ class TestMonteCarloCrossCheck:
             mean = float(rng.uniform(-2, 2))
             stddev = float(rng.uniform(0.05, 2))
             tau = float(rng.uniform(-2, 2))
-            ctx = AcqContext(tau=tau, d=1)
             mc_ei, mc_pi = mc_improvement_oracle(mean, stddev, tau, 0.001, seed=k)
-            assert ei(mean, stddev, ctx) == pytest.approx(mc_ei, abs=3e-3)
-            assert pi(mean, stddev, ctx) == pytest.approx(mc_pi, abs=3e-3)
+            assert ei(mean, stddev, tau) == pytest.approx(mc_ei, abs=3e-3)
+            assert pi(mean, stddev, tau) == pytest.approx(mc_pi, abs=3e-3)
 
 
 class TestContextValidation:
+    """The incumbent ``tau`` is checked by PI and EI, the schedule's ``d`` and ``t`` by ``beta_schedule``."""
+
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError, match="^t must be at least 1"):
-            AcqContext(tau=0.0, d=1, t=0)
+            beta_schedule(1, 0)
         with pytest.raises(ValueError, match="d must"):
-            AcqContext(tau=0.0, d=0)
-        for tau in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="tau"):
-                AcqContext(tau=tau, d=1)
+            beta_schedule(0, 1)
+        for fn in (pi, ei):
+            for tau in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="^tau must be finite$"):
+                    fn(0.0, 1.0, tau)
 
     @pytest.mark.parametrize("field", ["d", "t"])
     def test_declared_minimums(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be at least 1$"):
-            AcqContext(tau=0.0, **{"d": 1, "t": 1, field: 0})
-        assert getattr(AcqContext(tau=0.0, **{"d": 2, "t": 2, field: 1}), field) == 1
+            beta_schedule(**{"d": 1, "t": 1, field: 0})
+        assert beta_schedule(**{"d": 2, "t": 2, field: 1}) > 0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.5, True])
     @pytest.mark.parametrize("field", ["t", "d"])
     def test_counts_must_be_integers(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-            AcqContext(tau=0.0, **{"d": 1, "t": 1, field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, not "):
+            beta_schedule(**{"d": 1, "t": 1, field: value})
 
     def test_numpy_integer_counts_accepted(self):
-        ctx = AcqContext(tau=0.0, d=np.int64(2), t=np.int32(3))
-        assert beta_schedule(ctx) == beta_schedule(AcqContext(tau=0.0, d=2, t=3))
+        assert beta_schedule(np.int64(2), np.int32(3)) == beta_schedule(2, 3)
 
     @pytest.mark.parametrize("name", ["xi", "nu", "delta"])
     def test_schedule_constants_are_not_fields(self, name):
-        with pytest.raises(TypeError):
-            AcqContext(tau=0.0, d=1, **{name: 0.001})
+        # XI is read by PI and EI; NU and DELTA by the schedule.
+        if name == "xi":
+            functions = (partial(pi, 0.0, 1.0, 0.0), partial(ei, 0.0, 1.0, 0.0))
+        else:
+            functions = (partial(beta_schedule, 1, 1),)
+        for fn in functions:
+            with pytest.raises(TypeError):
+                fn(**{name: 0.001})

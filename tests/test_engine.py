@@ -17,7 +17,6 @@ from scipy.stats import qmc
 import mace
 from mace import acquisition as acq
 from mace import gp
-from mace.acquisition import AcqContext
 from mace.cli import write_run_csv
 from mace.demo import DemoConfig, ParetoSet
 from mace.engine import (
@@ -73,15 +72,25 @@ class TestUnconstrainedObjectives:
     def test_composition_identity(self):
         rng = np.random.default_rng(0)
         model, ds = toy_model(rng)
-        ctx = AcqContext(tau=float(ds.y.min()), d=2, t=3)
-        fn = build_unconstrained_objectives(model, ctx)
+        tau = float(ds.y.min())
+        fn = build_unconstrained_objectives(model, tau, 3)
         X = rng.random((5, 2))
         out = fn(X)
         mu, s = predict(model, X)
-        beta = acq.beta_schedule(ctx)
+        beta = acq.beta_schedule(2, 3)
         np.testing.assert_allclose(out[:, 0], acq.lcb(mu, s, beta))
-        np.testing.assert_allclose(out[:, 1], -acq.pi(mu, s, ctx))
-        np.testing.assert_allclose(out[:, 2], -acq.ei(mu, s, ctx))
+        np.testing.assert_allclose(out[:, 1], -acq.pi(mu, s, tau))
+        np.testing.assert_allclose(out[:, 2], -acq.ei(mu, s, tau))
+
+    def test_lcb_schedule_reads_the_models_dimension(self):
+        rng = np.random.default_rng(4)
+        X = rng.random((12, 3))
+        model = fit_gp(Dataset(X, np.sin(3 * X[:, 0]) + X[:, 1] - X[:, 2]), restarts=2, seed=0)
+        Xq = rng.random((6, 3))
+        out = build_unconstrained_objectives(model, 0.0, 4, ("lcb",))(Xq)
+        mu, s = predict(model, Xq)
+        assert out.tobytes() == acq.lcb(mu, s, acq.beta_schedule(3, 4))[:, None].tobytes()
+        assert out.tobytes() != acq.lcb(mu, s, acq.beta_schedule(2, 4))[:, None].tobytes()
 
     def test_floored_sigma_limit_at_incumbent(self):
         # posterior collapses onto a training point whose value equals tau
@@ -89,8 +98,7 @@ class TestUnconstrainedObjectives:
         y = np.array([1.0, 2.0])
         ds = Dataset(X, y)
         model = build_gp(ds, KernelHyperParams(1.0, 1e-6, np.array([0.3, 0.3])))
-        ctx = AcqContext(tau=1.0, d=2, t=1)
-        vec = build_unconstrained_objectives(model, ctx)(X[:1])[0]
+        vec = build_unconstrained_objectives(model, 1.0)(X[:1])[0]
         assert vec[0] == pytest.approx(1.0, abs=1e-4)   # LCB ~ tau
         assert -vec[1] <= 1e-12                          # PI ~ 0
         assert -vec[2] <= 1e-9                           # EI ~ 0
@@ -98,20 +106,19 @@ class TestUnconstrainedObjectives:
     def test_subset_drops_coordinates(self):
         rng = np.random.default_rng(1)
         model, ds = toy_model(rng)
-        ctx = AcqContext(tau=float(ds.y.min()), d=2)
+        tau = float(ds.y.min())
         X = rng.random((4, 2))
-        assert build_unconstrained_objectives(model, ctx, ("pi", "ei"))(X).shape == (4, 2)
-        assert build_unconstrained_objectives(model, ctx, ("ei",))(X).shape == (4, 1)
-        full = build_unconstrained_objectives(model, ctx)(X)
-        pi_lcb = build_unconstrained_objectives(model, ctx, ("lcb", "pi"))(X)
+        assert build_unconstrained_objectives(model, tau, ensemble=("pi", "ei"))(X).shape == (4, 2)
+        assert build_unconstrained_objectives(model, tau, ensemble=("ei",))(X).shape == (4, 1)
+        full = build_unconstrained_objectives(model, tau)(X)
+        pi_lcb = build_unconstrained_objectives(model, tau, ensemble=("lcb", "pi"))(X)
         np.testing.assert_allclose(pi_lcb, full[:, :2])
 
     def test_unknown_member_rejected(self):
         rng = np.random.default_rng(1)
         model, ds = toy_model(rng)
-        ctx = AcqContext(tau=float(ds.y.min()), d=2)
         with pytest.raises(ValueError, match="ucb"):
-            build_unconstrained_objectives(model, ctx, ("lcb", "ucb"))
+            build_unconstrained_objectives(model, float(ds.y.min()), ensemble=("lcb", "ucb"))
 
     def test_single_ei_tracks_grid_argmax(self):
         # sparse design so expected improvement keeps a clear interior peak
@@ -119,11 +126,11 @@ class TestUnconstrainedObjectives:
         y = (X[:, 0] - 0.3) ** 2
         ds = Dataset(X, y)
         model = fit_gp(ds, restarts=5, seed=0)
-        ctx = AcqContext(tau=float(y.min()), d=1, t=1)
+        tau = float(y.min())
         grid = np.linspace(0, 1, 4001)[:, None]
         mu, s = predict(model, grid)
-        grid_best = float(grid[np.argmax(acq.ei(mu, s, ctx)), 0])
-        fn = build_unconstrained_objectives(model, ctx, ("ei",))
+        grid_best = float(grid[np.argmax(acq.ei(mu, s, tau)), 0])
+        fn = build_unconstrained_objectives(model, tau, ensemble=("ei",))
         ps = demo_optimize(fn, 1, DemoConfig(population_size=40, max_evaluations=800), seed=0)
         demo_best = float(ps.points[np.argmin(ps.objectives[:, 0]), 0])
         assert abs(demo_best - grid_best) <= 0.02
@@ -194,34 +201,34 @@ class TestStageObjectives:
             KernelHyperParams(1.0, 0.1, np.array([0.5, 0.5])),
         )
         tau = float(y[c < 0].min())
-        return obj_model, [cmodel], AcqContext(tau=tau, d=2, t=2), rng.random((5, 2))
+        return obj_model, [cmodel], tau, rng.random((5, 2))
 
     @pytest.mark.parametrize("ensemble", [subset for k in (1, 2, 3)
                                           for subset in itertools.combinations(("lcb", "pi", "ei"), k)],
                              ids="-".join)
     def test_stage2_six_coordinates_match_direct_calls(self, ensemble):
-        obj_model, cmodels, ctx, X = self._stage2_inputs()
-        out = build_stage2_objectives(obj_model, cmodels, ctx, ensemble)(X)
+        obj_model, cmodels, tau, X = self._stage2_inputs()
+        out = build_stage2_objectives(obj_model, cmodels, tau, 2, ensemble)(X)
         assert out.shape == (5, len(ensemble) + 3)
         mu, s = predict(obj_model, X)
         cmu, cs = predict(cmodels[0], X)
         cmu, cs = cmu[:, None], cs[:, None]
-        direct = {"lcb": acq.lcb(mu, s, acq.beta_schedule(ctx)), "pi": -acq.pi(mu, s, ctx),
-                  "ei": -acq.ei(mu, s, ctx)}
+        direct = {"lcb": acq.lcb(mu, s, acq.beta_schedule(2, 2)), "pi": -acq.pi(mu, s, tau),
+                  "ei": -acq.ei(mu, s, tau)}
         for j, name in enumerate(ensemble):
             np.testing.assert_allclose(out[:, j], direct[name])
         np.testing.assert_allclose(out[:, -3], -acq.pf(cmu, cs))
         np.testing.assert_allclose(out[:, -2], acq.naive_violation(cmu))
         np.testing.assert_allclose(out[:, -1], acq.adaptive_violation(cmu, cs))
-        composed = np.hstack([build_unconstrained_objectives(obj_model, ctx, ensemble)(X),
+        composed = np.hstack([build_unconstrained_objectives(obj_model, tau, 2, ensemble)(X),
                               build_stage1_objectives(cmodels)(X)])
         assert out.tobytes() == composed.tobytes()
 
     def test_stage2_bypasses_the_public_builder_names(self, monkeypatch):
         # The tracer wraps each public builder's scorer in one span; stage 2
         # composing through those names would nest the spans.
-        obj_model, cmodels, ctx, X = self._stage2_inputs()
-        expected = build_stage2_objectives(obj_model, cmodels, ctx)(X)
+        obj_model, cmodels, tau, X = self._stage2_inputs()
+        expected = build_stage2_objectives(obj_model, cmodels, tau, 2)(X)
         calls = []
 
         def counting(name, builder):
@@ -233,7 +240,7 @@ class TestStageObjectives:
 
         for name in ("build_unconstrained_objectives", "build_stage1_objectives"):
             monkeypatch.setattr(mace.engine, name, counting(name, getattr(mace.engine, name)))
-        out = build_stage2_objectives(obj_model, cmodels, ctx)(X)
+        out = build_stage2_objectives(obj_model, cmodels, tau, 2)(X)
         assert calls == []
         assert out.tobytes() == expected.tobytes()
 
@@ -242,16 +249,15 @@ class TestStageObjectives:
         obj = constant_model(0.3, 0.7)
         feas_con = constant_model(-2.0, 1.0)
         infeas_con = constant_model(+2.0, 1.0)
-        ctx = AcqContext(tau=0.0, d=2)
         x = rng.random((1, 2))
-        v_feas = build_stage2_objectives(obj, [feas_con], ctx)(x)[0]
-        v_infeas = build_stage2_objectives(obj, [infeas_con], ctx)(x)[0]
+        v_feas = build_stage2_objectives(obj, [feas_con], 0.0)(x)[0]
+        v_infeas = build_stage2_objectives(obj, [infeas_con], 0.0)(x)[0]
         np.testing.assert_allclose(v_feas[:3], v_infeas[:3])  # same objective posterior
         assert np.all(v_feas[3:] <= v_infeas[3:]) and np.any(v_feas[3:] < v_infeas[3:])
 
     def test_stage2_requires_constraints(self):
         with pytest.raises(DimensionMismatchError):
-            build_stage2_objectives(constant_model(0, 1), [], AcqContext(tau=0.0, d=2))
+            build_stage2_objectives(constant_model(0, 1), [], 0.0)
 
 
 class TestPrune:
@@ -353,9 +359,8 @@ def grid_sequential_ei(problem, n_init, n_iter, seed):
     for t in range(1, n_iter + 1):
         ds = Dataset(X, y)
         model = fit_gp(ds, restarts=5, seed=seed + t)
-        ctx = AcqContext(tau=float(y.min()), d=1, t=t)
         mu, s = predict(model, grid)
-        x_next = grid[np.argmax(acq.ei(mu, s, ctx))]
+        x_next = grid[np.argmax(acq.ei(mu, s, float(y.min())))]
         X = np.vstack([X, x_next])
         y = np.append(y, problem.objective(problem.denormalize(x_next)))
     return X[np.argmin(y), 0]

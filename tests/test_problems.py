@@ -6,7 +6,6 @@ import pytest
 from mace.errors import EvaluatorFaultError
 from mace.problems import (
     BUILTIN_NAMES,
-    FomSpec,
     Problem,
     RING_HALFWIDTH,
     RING_RADIUS,
@@ -30,26 +29,26 @@ def branin_grid_minimum(n=2000):
 
 class TestFom:
     def test_single_metric_identity(self):
-        f = fom_weighted_sum(FomSpec(weights=(1.0,), metrics=(lambda x: float(x[0]),)))
+        f = fom_weighted_sum((1.0,), (lambda x: float(x[0]),))
         assert f(np.array([3.5])) == pytest.approx(3.5)
 
     def test_weighted_constants(self):
-        f = fom_weighted_sum(
-            FomSpec(weights=(1.2, 1.6), metrics=(lambda x: 10.0, lambda x: 5.0))
-        )
+        f = fom_weighted_sum((1.2, 1.6), (lambda x: 10.0, lambda x: 5.0))
         assert f(np.zeros(2)) == pytest.approx(20.0)
 
     def test_maximized_metric_negated(self):
         # a metric to maximize enters with a flipped sign so lower fom = better metric
         gain = lambda x: float(x[0])
-        f = fom_weighted_sum(FomSpec(weights=(2.0,), metrics=(lambda x: -gain(x),)))
+        f = fom_weighted_sum((2.0,), (lambda x: -gain(x),))
         assert f(np.array([1.0])) < f(np.array([0.0]))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FomSpec(weights=(), metrics=())
-        with pytest.raises(ValueError):
-            FomSpec(weights=(1.0, np.inf), metrics=(lambda x: 0.0, lambda x: 0.0))
+        with pytest.raises(ValueError, match="at least one metric"):
+            fom_weighted_sum((), ())
+        with pytest.raises(ValueError, match="one finite weight per metric"):
+            fom_weighted_sum((1.0,), (lambda x: 0.0, lambda x: 0.0))
+        with pytest.raises(ValueError, match="weights must be finite"):
+            fom_weighted_sum((1.0, np.inf), (lambda x: 0.0, lambda x: 0.0))
 
 
 class TestBuiltins:
