@@ -61,8 +61,9 @@ class RunConfig:
         _require_counts(self, n_iter=0, batch_size=1, n_init=2, seed=0, gp_restarts=1)
         if not isinstance(self.one_stage, (bool, np.bool_)):
             raise ValueError(f"one_stage must be a bool, not {self.one_stage!r}")
-        if not self.rho >= 0:
-            raise ValueError("rho must be non-negative")
+        rho = self.rho
+        if isinstance(rho, bool) or not isinstance(rho, (int, float, np.integer, np.floating)) or not rho >= 0:
+            raise ValueError(f"rho must be a non-negative number, not {rho!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
         if self.init_design not in INIT_DESIGNS:
@@ -139,8 +140,12 @@ class IterationRecord:
     fallback: bool
     provenance: tuple
     objectives: np.ndarray
-    adaptive_violations: Optional[np.ndarray]
     hyperparams: tuple
+
+    @property
+    def adaptive_violations(self) -> Optional[np.ndarray]:
+        """The scored adaptive violations (last objective column; NaN if fallback-random), or None unconstrained."""
+        return None if self.stage == "unconstrained" else self.objectives[:, -1]
 
 
 @dataclass
@@ -247,13 +252,6 @@ def _canonical_ensemble(ensemble) -> tuple:
     return tuple(e for e in ENSEMBLE_ORDER if e in names)
 
 
-def _constraint_posteriors(constraint_models, X: np.ndarray):
-    pairs = [predict(m, X) for m in constraint_models]
-    means = np.column_stack([p[0] for p in pairs])
-    stds = np.column_stack([p[1] for p in pairs])
-    return means, stds
-
-
 def build_unconstrained_objectives(model: GpModel, tau: float, t: int = 1, ensemble=ENSEMBLE_ORDER):
     """Vector objective (LCB, -PI, -EI), restricted to the configured ensemble.
 
@@ -271,12 +269,18 @@ def build_unconstrained_objectives(model: GpModel, tau: float, t: int = 1, ensem
 
 
 def build_stage1_objectives(constraint_models):
-    """Feasibility objective (-PF, naive violation, adaptive violation) over the constraint models."""
+    """Feasibility objective (-PF, naive violation, adaptive violation) over the constraint models.
+
+    The only scorer of the constraint models.  Its last column, also stage 2's,
+    is the adaptive violation that ``prune_candidates`` and
+    ``IterationRecord.adaptive_violations`` read.
+    """
     if len(constraint_models) < 1:
         raise DimensionMismatchError("need at least one constraint model")
 
     def objectives(X: np.ndarray) -> np.ndarray:
-        mu, s = _constraint_posteriors(constraint_models, np.atleast_2d(X))
+        X = np.atleast_2d(X)
+        mu, s = (np.column_stack(v) for v in zip(*(predict(m, X) for m in constraint_models)))
         return np.column_stack([-acq.pf(mu, s), acq.naive_violation(mu), acq.adaptive_violation(mu, s)])
 
     return objectives
@@ -296,15 +300,13 @@ def build_stage2_objectives(objective_model: GpModel, constraint_models, tau: fl
     return lambda X: np.hstack([acquisition(X), feasibility(X)])
 
 
-def prune_candidates(pareto: ParetoSet, constraint_models, rho: float):
-    """Drop Pareto members whose confidence-scaled violation exceeds rho.
+def prune_candidates(pareto: ParetoSet, rho: float):
+    """Drop Pareto members whose scored adaptive violation, the last objective column, exceeds rho.
 
     Returns (pruned_set, fallback); when pruning would empty the set the
     original set is returned unchanged with the fallback flag raised.
     """
-    mu, s = _constraint_posteriors(constraint_models, pareto.points)
-    viol = acq.adaptive_violation(mu, s)
-    keep = viol <= rho
+    keep = pareto.objectives[:, -1] <= rho
     if not bool(np.any(keep)):
         return pareto, True
     return pareto.subset(np.flatnonzero(keep)), False
@@ -437,14 +439,10 @@ def _mace_proposer(problem: Problem, config: RunConfig, n_c: int):
         pareto = demo_optimize(objective_fn, problem.dim, config.demo, seed=demo_seed, initial_points=warm)
         fallback = False
         if stage == "stage2":
-            pareto, fallback = prune_candidates(pareto, constraint_models, config.rho)
+            pareto, fallback = prune_candidates(pareto, config.rho)
         proposal = sample_batch(pareto, config.batch_size, rng)
-        violations = None
-        if n_c:
-            mu, s = _constraint_posteriors(constraint_models, proposal.points)
-            violations = acq.adaptive_violation(mu, s)
         hyperparams = tuple(None if m is None else m.hyperparams for m in (*constraint_models, objective_model))
-        info = IterationRecord(t, stage, fallback, proposal.provenance, proposal.objectives, violations, hyperparams)
+        info = IterationRecord(t, stage, fallback, proposal.provenance, proposal.objectives, hyperparams)
         return proposal.points, proposal.provenance, info
 
     return propose

@@ -261,42 +261,41 @@ class TestStageObjectives:
 
 
 class TestPrune:
-    def _set(self, k=4, d=2, m=3, seed=0):
+    """Pruning reads the front's last objective column, the adaptive violation the ensemble scored."""
+
+    @staticmethod
+    def _set(violations, d=2, seed=0):
         rng = np.random.default_rng(seed)
-        return ParetoSet(rng.random((k, d)), rng.random((k, m)))
+        k = len(violations)
+        return ParetoSet(rng.random((k, d)), np.column_stack([rng.random((k, 2)), violations]))
 
     def test_below_threshold_retained(self):
-        ps = self._set()
-        model = constant_model(0.04, 1.0)  # adaptive violation 0.04 everywhere
-        pruned, fallback = prune_candidates(ps, [model], rho=0.05)
+        ps = self._set([0.04] * 4)
+        pruned, fallback = prune_candidates(ps, rho=0.05)
         assert not fallback and len(pruned) == len(ps)
 
     def test_exactly_at_threshold_retained(self):
-        ps = self._set()
-        pruned, fallback = prune_candidates(ps, [constant_model(0.05, 1.0)], rho=0.05)
+        ps = self._set([0.05] * 4)
+        pruned, fallback = prune_candidates(ps, rho=0.05)
         assert not fallback and len(pruned) == len(ps)
 
     def test_above_threshold_all_pruned_falls_back(self):
-        ps = self._set()
-        pruned, fallback = prune_candidates(ps, [constant_model(0.2, 1.0)], rho=0.05)
+        ps = self._set([0.2] * 4)
+        pruned, fallback = prune_candidates(ps, rho=0.05)
         assert fallback
         assert np.array_equal(pruned.points, ps.points)
+        assert np.array_equal(pruned.objectives, ps.objectives)
 
     def test_mixed_members_exact_selection(self):
-        rng = np.random.default_rng(11)
-        Xd, _, c = constraint_dataset(rng)
-        cmodel = build_gp(
-            Dataset(Xd, c - 0.9),
-            KernelHyperParams(1.0, 0.05, np.array([0.3, 0.3])),
-        )
-        ps = ParetoSet(rng.random((40, 2)), rng.random((40, 3)))
-        mu, s = predict(cmodel, ps.points)
-        viol = acq.adaptive_violation(mu[:, None], s[:, None])
+        viol = np.random.default_rng(11).uniform(0.0, 0.1, 40)
+        viol[[3, 17]] = 0.05
+        ps = self._set(viol, seed=11)
         expected = np.flatnonzero(viol <= 0.05)
         assert 0 < expected.size < 40  # the case actually straddles the threshold
-        pruned, fallback = prune_candidates(ps, [cmodel], rho=0.05)
+        pruned, fallback = prune_candidates(ps, rho=0.05)
         assert not fallback
         np.testing.assert_array_equal(pruned.points, ps.points[expected])
+        np.testing.assert_array_equal(pruned.objectives, ps.objectives[expected])
 
 
 class TestSampleBatch:
@@ -581,6 +580,38 @@ class TestRunConstrained:
         rec.iterations = [dataclasses.replace(it, hyperparams=(other, None)) for it in rec.iterations]
         assert rec.signature() == before
 
+    def test_adaptive_violations_are_the_last_objective_column(self):
+        problem = builtin("ring-constrained-2d")
+        cfg = RunConfig(n_iter=4, batch_size=3, n_init=6, seed=3, gp_restarts=2, demo=SMALL_DEMO)
+        rec = run_constrained(problem, cfg)
+        assert {"stage1", "stage2"} <= {it.stage for it in rec.iterations}
+        for it in rec.iterations:
+            assert np.array_equal(it.adaptive_violations, it.objectives[:, -1], equal_nan=True)
+        unconstrained = run_unconstrained(problem, cfg)
+        assert all(it.adaptive_violations is None for it in unconstrained.iterations)
+
+    def test_every_predict_runs_inside_the_inner_solve(self, monkeypatch):
+        inside, calls = [False], []
+        original_predict, original_demo = mace.engine.predict, mace.engine.demo_optimize
+
+        def recording_predict(*args, **kwargs):
+            calls.append(inside[0])
+            return original_predict(*args, **kwargs)
+
+        def flagging_demo(*args, **kwargs):
+            inside[0] = True
+            try:
+                return original_demo(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(mace.engine, "predict", recording_predict)
+        monkeypatch.setattr(mace.engine, "demo_optimize", flagging_demo)
+        cfg = RunConfig(n_iter=4, batch_size=3, n_init=6, seed=3, gp_restarts=2, demo=SMALL_DEMO)
+        rec = run_constrained(builtin("ring-constrained-2d"), cfg)
+        assert {"stage1", "stage2"} <= {it.stage for it in rec.iterations}
+        assert calls and all(calls)
+
     def test_incumbent_ordering_feasible_first(self):
         problem = builtin("ring-constrained-2d")
         cfg = RunConfig(n_iter=2, batch_size=3, n_init=8, seed=2,
@@ -730,10 +761,6 @@ class TestRunConfig:
             RunConfig(n_iter=1, batch_size=1, ensemble=())
         with pytest.raises(ValueError):
             RunConfig(n_iter=1, batch_size=1, ensemble=("ucb",))
-        with pytest.raises(ValueError):
-            RunConfig(n_iter=1, batch_size=1, rho=-0.1)
-        with pytest.raises(ValueError, match="rho"):
-            RunConfig(n_iter=1, batch_size=1, rho=float("nan"))
         for restarts in (0, -3):
             with pytest.raises(ValueError, match="gp_restarts"):
                 RunConfig(n_iter=1, batch_size=1, gp_restarts=restarts)
@@ -761,6 +788,15 @@ class TestRunConfig:
     def test_one_stage_must_be_a_bool(self, value):
         with pytest.raises(ValueError, match="^one_stage must be a bool, "):
             RunConfig(n_iter=1, batch_size=1, one_stage=value)
+
+    @pytest.mark.parametrize("value", [-0.1, float("nan"), True, "0.1", None])
+    def test_rho_must_be_a_non_negative_number(self, value):
+        with pytest.raises(ValueError, match="^rho must be a non-negative number, not "):
+            RunConfig(n_iter=1, batch_size=1, rho=value)
+
+    @pytest.mark.parametrize("value", [0, 0.05, np.float64(0.1), np.int64(1), float("inf")])
+    def test_numeric_rho_accepted(self, value):
+        assert RunConfig(n_iter=1, batch_size=1, rho=value).rho == value
 
     def test_numpy_bool_one_stage_accepted(self):
         assert RunConfig(n_iter=1, batch_size=1, one_stage=np.bool_(True)).one_stage

@@ -14,8 +14,10 @@ then comparing the outputs::
 The comparison prints, per group and measure, the median and interquartile
 range on each side and how many seeds the second file wins, loses and ties
 (lower is better for every measure; a missing regret loses to any value).
-It imports ``mace`` from this checkout's ``src/``.  All groups take several
-minutes on a 2-core machine.
+It then names each group, and each seed of a shared group, that only one file
+has, and exits 1 if it named any or if the files share no group.  It imports
+``mace`` from this checkout's ``src/``.  All groups take several minutes on a
+2-core machine.
 """
 
 from __future__ import annotations
@@ -67,14 +69,16 @@ def _quartiles(values) -> str:
     return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def compare(parent_path: str, change_path: str) -> None:
+def compare(parent_path: str, change_path: str) -> bool:
+    """Print the comparison; True when both files hold the same groups and seeds, at least one group."""
     def load(path):
         with open(path) as fh:
             groups = [json.loads(line) for line in fh if line.strip()]
         return {g["group"]: {r["seed"]: r for r in g["runs"]} for g in groups}
 
     parent, change = load(parent_path), load(change_path)
-    for group in [g for g in parent if g in change]:
+    shared = [g for g in parent if g in change]
+    for group in shared:
         seeds = sorted(parent[group].keys() & change[group].keys())
         for name in MEASURES:
             a = [parent[group][s][name] for s in seeds]
@@ -87,6 +91,18 @@ def compare(parent_path: str, change_path: str) -> None:
                   f"parent {_quartiles([v for v in a if v is not None])}  "
                   f"change {_quartiles([v for v in b if v is not None])}  "
                   f"change better/worse/tied {wins}/{losses}/{len(seeds) - wins - losses}")
+    unmatched = []
+    for path, ours, theirs in ((parent_path, parent, change), (change_path, change, parent)):
+        for group, runs in ours.items():
+            if group not in theirs:
+                unmatched.append(f"{group} only in {path}")
+            elif only := sorted(runs.keys() - theirs[group].keys()):
+                unmatched.append(f"{group} seeds only in {path}: {', '.join(map(str, only))}")
+    if not shared:
+        unmatched.append("no group in both files")
+    for line in unmatched:
+        print(line)
+    return not unmatched
 
 
 def main(argv=None) -> int:
@@ -95,8 +111,7 @@ def main(argv=None) -> int:
                         help="compare two outputs of this tool instead of running")
     args = parser.parse_args(argv)
     if args.compare:
-        compare(*args.compare)
-        return 0
+        return 0 if compare(*args.compare) else 1
     for name, (runner, problem_name, config) in GROUPS.items():
         runs = [measure(runner, problem_name, config, seed) for seed in SEEDS]
         print(json.dumps({"group": name, "runs": runs}), flush=True)
