@@ -65,8 +65,7 @@ class ExperimentSpec:
     n_init: int = _key(RunConfig.n_init, low=2)
     repeats: Optional[int] = _key(None, "seeded runs; defaults to 20 unconstrained, 12 constrained", low=1)
     seed: int = _key(RunConfig.seed, low=0)
-    # Every member, in the order campaign summaries have always recorded.
-    ensemble: list = _key(("pi", "ei", "lcb"), f"comma list from {','.join(ENSEMBLE_ORDER)}")
+    ensemble: list = _key(ENSEMBLE_ORDER, f"comma list from {','.join(ENSEMBLE_ORDER)}")
     out_dir: str = _key("mace-results", flag="--out")
     rho: float = _key(RunConfig.rho, low=0)
     demo_population: int = _key(DemoConfig.population_size, low=4)
@@ -199,11 +198,9 @@ def parse_config(config_path=None, overrides: Optional[dict] = None) -> Experime
         merged["repeats"] = 12 if merged["mode"] == "constrained" else 20
 
     try:
-        _canonical_ensemble(merged["ensemble"])
+        merged["ensemble"] = list(_canonical_ensemble(merged["ensemble"]))
     except ValueError as exc:
         raise ConfigError(f"ensemble: {exc}") from None
-    # The spec keeps its own order, which is what summaries record.
-    merged["ensemble"] = [str(e).lower() for e in merged["ensemble"]]
 
     _require(merged["budget"] is not None, "budget", "is required")
     _require(merged["timeout"] > 0, "timeout", "must be positive")
@@ -291,23 +288,17 @@ def _parse_response(line: bytes, sent: int, answered: set, n_constraints: int):
         raise ProtocolError(f"malformed evaluator response: {line!r}") from exc
     if type(point_id) is not int or not 0 <= point_id < sent or point_id in answered:
         raise ProtocolError(f"unexpected response id {point_id!r}")
-    try:
-        value = _json_number(value)
-    except (TypeError, OverflowError) as exc:
-        raise ProtocolError(f"response for id {point_id} has a non-numeric y: {value!r}") from exc
-    if not n_constraints:
-        return point_id, value, []
-    cvals = msg.get("c", [])
+    cvals = msg.get("c", []) if n_constraints else []
     if not isinstance(cvals, list) or len(cvals) != n_constraints:
         raise ProtocolError(
             f"response for id {point_id} has {len(cvals) if isinstance(cvals, list) else 'non-list'}"
             f" constraint values, expected {n_constraints}"
         )
     try:
-        return point_id, value, [_json_number(v) for v in cvals]
+        value, *cvals = (_json_number(v) for v in (value, *cvals))
     except (TypeError, OverflowError) as exc:
-        raise ProtocolError(f"response for id {point_id} has a non-numeric constraint value: "
-                            f"{cvals!r}") from exc
+        raise ProtocolError(f"response for id {point_id} has a non-numeric y or c: {line!r}") from exc
+    return point_id, value, cvals
 
 
 # The longest single wait for the child, in seconds; between waits the loop

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvaluatorFaultError, _require_counts
+from .errors import DimensionMismatchError, EvaluatorFaultError, _require_count, _require_counts
 
 # DE/rand/1 variation: mutation scale factor F and binomial crossover rate CR.
 SCALE_FACTOR = 0.8
@@ -222,6 +222,7 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, seed: int = 0, ini
     evaluated points, each distinct point once; it is deterministic for a fixed
     seed.
     """
+    _require_count("dim", dim, 1)
     rng = np.random.default_rng(seed)
     pop = config.population_size
 
@@ -233,12 +234,10 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, seed: int = 0, ini
             raise DimensionMismatchError("initial_points dimension does not match dim")
         pop_x[:k] = seeds[:k]
     pop_f = _evaluate(objective_fn, pop_x)
-    mask0 = non_dominated_mask(pop_f)
-    arch_x, arch_f = pop_x[mask0].copy(), pop_f[mask0].copy()
+    arch_x, arch_f = _update_archive(pop_x[:0], pop_f[:0], pop_x, pop_f, ARCHIVE_CAP)
 
-    evals_left = config.max_evaluations
-    while evals_left > 0:
-        n_children = min(pop, evals_left)
+    for done in range(0, config.max_evaluations, pop):
+        n_children = min(pop, config.max_evaluations - done)
         # DE/rand/1: three distinct partners per child, none equal to the parent.
         keys = rng.random((n_children, pop))
         keys[np.arange(n_children), np.arange(n_children)] = np.inf
@@ -250,14 +249,12 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, seed: int = 0, ini
         cross[np.arange(n_children), rng.integers(dim, size=n_children)] = True
         trial = np.where(cross, mutants, pop_x[:n_children])
         trial_f = _evaluate(objective_fn, trial)
-        evals_left -= n_children
 
         parent_f = pop_f[:n_children]
         child_le = np.all(trial_f <= parent_f, axis=1)
         parent_le = np.all(parent_f <= trial_f, axis=1)
         child_wins = child_le & ~parent_le
-        parent_wins = parent_le & ~child_le
-        both = ~child_wins & ~parent_wins
+        both = child_le == parent_le  # neither dominates the other
         pop_x[:n_children][child_wins] = trial[child_wins]
         pop_f[:n_children][child_wins] = trial_f[child_wins]
         if both.any():

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import acquisition as acq
 from .demo import DemoConfig, ParetoSet, demo_optimize
-from .errors import DimensionMismatchError, EvaluatorFaultError, _require_counts
+from .errors import DimensionMismatchError, EvaluatorFaultError, _require_count, _require_counts, _require_non_negative
 from .gp import Dataset, GpModel, _one_blas_thread, fit_gp, predict
 from .problems import Problem, evaluate
 
@@ -61,9 +61,7 @@ class RunConfig:
         _require_counts(self, n_iter=0, batch_size=1, n_init=2, seed=0, gp_restarts=1)
         if not isinstance(self.one_stage, (bool, np.bool_)):
             raise ValueError(f"one_stage must be a bool, not {self.one_stage!r}")
-        rho = self.rho
-        if isinstance(rho, bool) or not isinstance(rho, (int, float, np.integer, np.floating)) or not rho >= 0:
-            raise ValueError(f"rho must be a non-negative number, not {rho!r}")
+        _require_non_negative("rho", self.rho)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
         if self.init_design not in INIT_DESIGNS:
@@ -306,6 +304,7 @@ def prune_candidates(pareto: ParetoSet, rho: float):
     Returns (pruned_set, fallback); when pruning would empty the set the
     original set is returned unchanged with the fallback flag raised.
     """
+    _require_non_negative("rho", rho)
     keep = pareto.objectives[:, -1] <= rho
     if not bool(np.any(keep)):
         return pareto, True
@@ -327,6 +326,7 @@ def sample_batch(pareto: ParetoSet, batch_size: int, rng: np.random.Generator) -
     Near-duplicate members are counted once; any deficit is filled with
     uniform random points flagged fallback-random.
     """
+    _require_count("batch_size", batch_size, 1)
     uniq = _dedup_indices(pareto.points)
     take = min(batch_size, uniq.size)
     chosen = uniq[rng.choice(uniq.size, size=take, replace=False)]

@@ -11,6 +11,12 @@ def _require_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be at least {minimum}")
 
 
+def _require_non_negative(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a number in [0, inf]; numpy numbers count, ``bool`` and NaN do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) or not value >= 0:
+        raise ValueError(f"{name} must be a non-negative number, not {value!r}")
+
+
 def _require_unit_cube(what: str, points) -> None:
     """Raise ``ValueError`` naming ``what`` unless every coordinate of ``points`` is in [0, 1], give or take 1e-12."""
     # Written so that a NaN coordinate fails it.

@@ -255,7 +255,7 @@ def test_criterion_8_pruning_contract(ring_runs):
             for k, prov in enumerate(it.provenance):
                 if prov == "pareto-sample":
                     checked += 1
-                    if it.adaptive_violations[k] > 0.05 + 1e-12:
+                    if it.adaptive_violations[k] > 0.05:
                         violations += 1
     report(8, violations == 0 and checked > 0,
            f"{checked} stage-2 pareto-sample proposals checked, {violations} above rho=0.05")

@@ -21,6 +21,8 @@ from mace.cli import (
     parse_config,
     run_campaign,
     run_single,
+    spec_to_runconfig,
+    summarize_records,
 )
 from mace.errors import ConfigError, ProtocolError
 
@@ -141,6 +143,16 @@ class TestParseConfig:
         assert spec.batch == 1 and spec.ensemble == ["ei"]
         spec = parse_config(None, tiny_overrides(algorithm="sequential-lcb", batch=7))
         assert spec.batch == 1 and spec.ensemble == ["lcb"]
+
+    def test_ensemble_stored_in_engine_order_each_member_once(self):
+        assert parse_config(None, tiny_overrides(ensemble="ei,PI,ei")).ensemble == ["pi", "ei"]
+        assert parse_config(None, tiny_overrides()).ensemble == ["lcb", "pi", "ei"]
+
+    @pytest.mark.parametrize("ensemble", ["ei,PI,ei", None])
+    def test_summary_records_the_ensemble_the_run_uses(self, ensemble):
+        overrides = tiny_overrides() if ensemble is None else tiny_overrides(ensemble=ensemble)
+        spec = parse_config(None, overrides)
+        assert summarize_records(spec, [])["spec"]["ensemble"] == list(spec_to_runconfig(spec, 0).ensemble)
 
     def test_config_file_plus_flag_override(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -267,6 +279,13 @@ class TestExternalEvaluate:
     def test_non_numeric_y_raises_protocol_error(self, child, mode):
         with pytest.raises(ProtocolError, match="id 0"):
             external_evaluate(child(mode), np.array([[0.1, 0.0]]), timeout=30)
+
+    @pytest.mark.parametrize("mode", ["y-text", "c-text"])
+    def test_non_numeric_value_error_quotes_the_line(self, child, mode):
+        line = {"y-text": '{"id": 0, "y": "1.5"', "c-text": '"c": ["x"]}'}[mode]
+        with pytest.raises(ProtocolError, match="id 0 has a non-numeric y or c") as info:
+            external_evaluate(child(mode), np.array([[0.1, 0.0]]), n_constraints=int(mode == "c-text"), timeout=30)
+        assert line in str(info.value)
 
     @pytest.mark.parametrize("mode", ["c-two", "c-scalar"])
     def test_wrong_constraint_count_raises_protocol_error(self, child, mode):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mace import demo
 from mace.demo import (
+    ARCHIVE_CAP,
     SCALE_FACTOR,
     DemoConfig,
     ParetoSet,
@@ -348,6 +350,26 @@ class TestDemoOptimize:
 
         with pytest.raises(EvaluatorFaultError):
             demo_optimize(fn, 2, DemoConfig(population_size=10, max_evaluations=10), seed=0)
+
+    def test_archive_never_exceeds_cap(self, monkeypatch):
+        # Every point is non-dominated under (x0, 1 - x0), so a population above
+        # the cap fills an archive past it unless its admission prunes too.
+        sizes = []
+        update = demo._update_archive
+
+        def recording(arch_x, arch_f, new_x, new_f, cap):
+            X, F = update(arch_x, arch_f, new_x, new_f, cap)
+            sizes.extend([arch_x.shape[0], X.shape[0]])
+            return X, F
+
+        monkeypatch.setattr(demo, "_update_archive", recording)
+        demo_optimize(lambda X: np.column_stack([X[:, 0], 1 - X[:, 0]]), 2, DemoConfig(700, 700))
+        assert sizes and max(sizes) <= ARCHIVE_CAP
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, True])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match="^dim must be"):
+            demo_optimize(lambda X: X, dim, DemoConfig(population_size=10, max_evaluations=10))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -297,6 +297,16 @@ class TestPrune:
         np.testing.assert_array_equal(pruned.points, ps.points[expected])
         np.testing.assert_array_equal(pruned.objectives, ps.objectives[expected])
 
+    @pytest.mark.parametrize("rho", [np.nan, -1, True, None, "0.05"])
+    def test_rho_must_be_a_non_negative_number(self, rho):
+        with pytest.raises(ValueError, match="^rho must be a non-negative number, not "):
+            prune_candidates(self._set([0.04] * 4), rho)
+
+    def test_infinite_rho_keeps_every_member(self):
+        ps = self._set([0.0, 1e300, np.inf])
+        pruned, fallback = prune_candidates(ps, np.inf)
+        assert not fallback and len(pruned) == len(ps)
+
 
 class TestSampleBatch:
     def test_plenty_of_members(self):
@@ -327,6 +337,12 @@ class TestSampleBatch:
         prop = sample_batch(ps, 3, np.random.default_rng(3))
         assert list(prop.provenance).count("pareto-sample") == 1
         assert list(prop.provenance).count("fallback-random") == 2
+
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, True])
+    def test_batch_size_must_be_a_positive_integer(self, batch_size):
+        ps = ParetoSet(np.random.default_rng(0).random((5, 2)), np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="^batch_size must be"):
+            sample_batch(ps, batch_size, np.random.default_rng(0))
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
@@ -504,7 +520,7 @@ class TestRunConstrained:
         for it in rec.iterations:
             if it.stage == "stage2" and not it.fallback:
                 sampled = [k for k, p in enumerate(it.provenance) if p == "pareto-sample"]
-                assert np.all(it.adaptive_violations[sampled] <= cfg.rho + 1e-12)
+                assert np.all(it.adaptive_violations[sampled] <= cfg.rho)
         # the disc constraint is easy: the final incumbent must be feasible
         assert rec.final_incumbent.feasible
 

@@ -31,8 +31,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mace.engine import RunConfig, run_constrained, run_unconstrained  # noqa: E402
+from mace.engine import run_constrained, run_unconstrained  # noqa: E402
 from mace.problems import builtin  # noqa: E402
+from signature_digests import GROUPS as DIGEST_GROUPS, _engine  # noqa: E402
 
 SEEDS = range(60)
 MEASURES = ("regret", "evals_to_first_feasible", "fallback_share")
@@ -40,18 +41,15 @@ MEASURES = ("regret", "evals_to_first_feasible", "fallback_share")
 # Criterion 6's branin shapes, criterion 7's ring runs, and two more problems
 # at branin's B=5 budget: a constrained one and a 10-d unconstrained one.
 GROUPS = {
-    "branin-b5": (run_unconstrained, "branin", dict(n_iter=16, batch_size=5, n_init=20)),
-    "branin-b15": (run_unconstrained, "branin", dict(n_iter=5, batch_size=15, n_init=20)),
-    "ring-mace": (run_constrained, "ring-constrained-2d", dict(n_iter=20, batch_size=5, n_init=20)),
-    "ring-omace": (run_constrained, "ring-constrained-2d", dict(n_iter=20, batch_size=5, n_init=20, one_stage=True)),
-    "constrained-branin": (run_constrained, "constrained-branin", dict(n_iter=16, batch_size=5, n_init=20)),
-    "sphere10-b5": (run_unconstrained, "sphere10", dict(n_iter=16, batch_size=5, n_init=20)),
+    **{name: DIGEST_GROUPS[name] for name in ("branin-b5", "branin-b15", "ring-mace", "ring-omace")},
+    "constrained-branin": _engine(run_constrained, "constrained-branin", n_iter=16, batch_size=5, n_init=20),
+    "sphere10-b5": _engine(run_unconstrained, "sphere10", n_iter=16, batch_size=5, n_init=20),
 }
 
 
-def measure(runner, problem_name: str, config: dict, seed: int) -> dict:
-    problem = builtin(problem_name)
-    rec = runner(problem, RunConfig(seed=seed, **config))
+def measure(run, seed: int) -> dict:
+    rec = run(seed)
+    problem = builtin(rec.problem_name)
     best = rec.final_incumbent
     proposed = [r.provenance for r in rec.evaluations if r.iteration > 0]
     return {
@@ -112,8 +110,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         return 0 if compare(*args.compare) else 1
-    for name, (runner, problem_name, config) in GROUPS.items():
-        runs = [measure(runner, problem_name, config, seed) for seed in SEEDS]
+    for name, run in GROUPS.items():
+        runs = [measure(run, seed) for seed in SEEDS]
         print(json.dumps({"group": name, "runs": runs}), flush=True)
     return 0
 
