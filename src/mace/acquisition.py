@@ -47,17 +47,16 @@ def std_normal_pdf(z):
 
 
 def _improvement_margin(mean, stddev, tau: float):
-    """(tau - XI - mean) / stddev with the stddev floored; the incumbent ``tau`` must be finite."""
+    """The margin tau - XI - mean and the stddev floored at STDDEV_FLOOR; the incumbent ``tau`` must be finite."""
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
-    s = np.maximum(np.asarray(stddev, dtype=float), STDDEV_FLOOR)
-    return (tau - XI - np.asarray(mean, dtype=float)) / s, s
+    return tau - XI - np.asarray(mean, dtype=float), np.maximum(np.asarray(stddev, dtype=float), STDDEV_FLOOR)
 
 
 def pi(mean, stddev, tau: float):
     """Probability that a normal posterior beats the incumbent ``tau`` by at least XI."""
-    lam, _ = _improvement_margin(mean, stddev, tau)
-    return std_normal_cdf(lam)
+    margin, s = _improvement_margin(mean, stddev, tau)
+    return std_normal_cdf(margin / s)
 
 
 def ei(mean, stddev, tau: float):
@@ -67,11 +66,11 @@ def ei(mean, stddev, tau: float):
     instead of the floored form, so certain non-improvements score exactly 0.
     """
     s_raw = np.asarray(stddev, dtype=float)
-    lam, s = _improvement_margin(mean, s_raw, tau)
+    margin, s = _improvement_margin(mean, s_raw, tau)
+    lam = margin / s
     cdf = std_normal_cdf(lam)
     # lam * cdf(lam) tends to 0 where cdf underflows; at lam = -inf the product would be NaN.
     val = s * (np.where(cdf > 0, lam, 0.0) * cdf + std_normal_pdf(lam))
-    margin = tau - XI - np.asarray(mean, dtype=float)
     val = np.where(s_raw > 0, val, np.maximum(margin, 0.0))
     return np.maximum(val, 0.0)
 

@@ -78,9 +78,6 @@ class ExperimentSpec:
     bounds: Optional[list] = None  # a [lower, upper] pair per dimension; no flag sets it
     timeout: float = _key(300.0, "seconds an external evaluator has for each batch")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @property
     def n_iter(self) -> int:
         return (self.budget - self.n_init) // self.batch
@@ -490,7 +487,7 @@ def summarize_records(spec: ExperimentSpec, records: list) -> dict:
         per_run.append(
             {
                 "run": i,
-                "seed": spec.seed + i,
+                "seed": rec.config.seed,
                 "final_best": inc.y if success else None,
                 "final_feasible": bool(success),
                 "evals_to_first_feasible": rec.evals_to_first_feasible,
@@ -500,7 +497,7 @@ def summarize_records(spec: ExperimentSpec, records: list) -> dict:
         )
     finals = [r["final_best"] for r in per_run if r["final_best"] is not None]
     summary = {
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "runs": per_run,
         "final_best": _aggregate(finals),
         "success_count": sum(1 for r in per_run if r["final_feasible"]),

@@ -122,16 +122,16 @@ def pareto_front(objectives) -> np.ndarray:
 def fast_non_dominated_fronts(F: np.ndarray, size: int | None = None) -> list[np.ndarray]:
     """Successive non-dominated fronts (index arrays) of F's rows, until they hold ``size`` rows if given."""
     D = _domination_matrix(F)
+    # Each row's unranked dominators, or -1 once ranked: no later front dominates an earlier one.
     counts = D.sum(axis=0)
-    unassigned = np.ones(F.shape[0], dtype=bool)
     left = F.shape[0] if size is None else min(size, F.shape[0])
     fronts = []
     while left > 0:
-        front = np.flatnonzero(unassigned & (counts == 0))
+        front = np.flatnonzero(counts == 0)
         fronts.append(front)
         left -= front.size
-        unassigned[front] = False
-        counts = counts - D[front].sum(axis=0)
+        counts[front] = -1
+        counts -= D[front].sum(axis=0)
     return fronts
 
 

@@ -364,11 +364,12 @@ def _warm_start(dataset: Dataset, C: np.ndarray, cap: int) -> np.ndarray:
     """Observed points used to seed the inner solver's population (constrained runs).
 
     Best observations first: ``EvalRecord.order_key`` over arrays (feasible
-    ones by objective, ahead of infeasible ones by total violation).  With a
-    thin feasible region the surrogate's predicted-feasible set shrinks to
-    small neighborhoods of the feasible observations, which a uniformly
-    initialized population can miss entirely; seeding the dataset keeps those
-    neighborhoods in the pool.
+    ones by objective, ahead of infeasible ones by total violation).  The
+    seeding matters most on constrained-branin, whose feasible disc covers
+    pi/4 (79%) of the box, so the reason is not a thin feasible region.
+    Seeding from the previous iteration's front instead took its median
+    regret over seeds 0-59 (16 batches of 5 after 20 initial points) from
+    6.2e-5 to 1.07e-2.
     """
     viol = acq.naive_violation(C)
     feasible = _feasible(C)

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mace.acquisition import (
+    STDDEV_FLOOR,
+    XI,
     adaptive_violation,
     beta_schedule,
     ei,
@@ -79,6 +81,12 @@ class TestPI:
     def test_monotone_in_mean(self, mean, stddev, tau):
         assert pi(mean - 0.5, stddev, tau) >= pi(mean, stddev, tau)
 
+    @settings(max_examples=100, deadline=None)
+    @given(finite_floats, st.floats(0, 20, allow_nan=False), finite_floats)
+    def test_bit_equal_to_the_floored_margin(self, mean, stddev, tau):
+        expected = std_normal_cdf((tau - XI - mean) / max(stddev, STDDEV_FLOOR))
+        assert pi(mean, stddev, tau).tobytes() == expected.tobytes()
+
 
 class TestEI:
     def test_zero_margin_value(self):
@@ -103,6 +111,11 @@ class TestEI:
     @given(finite_floats, st.floats(0, 20, allow_nan=False), finite_floats)
     def test_never_negative(self, mean, stddev, tau):
         assert ei(mean, stddev, tau) >= 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(finite_floats, finite_floats)
+    def test_zero_stddev_is_the_clipped_margin(self, mean, tau):
+        assert ei(mean, 0.0, tau) == max(tau - XI - mean, 0.0)
 
     def test_zero_when_no_spread_and_no_margin(self):
         tau = 1.0

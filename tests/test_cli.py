@@ -7,7 +7,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +134,7 @@ class TestParseConfig:
     def test_round_trip_identical(self, tmp_path):
         spec = parse_config(None, tiny_overrides(algorithm="sequential-ei"))
         path = tmp_path / "resolved.json"
-        path.write_text(json.dumps(spec.to_dict()))
+        path.write_text(json.dumps(asdict(spec)))
         again = parse_config(path, None)
         assert again == spec
 

@@ -158,6 +158,19 @@ class TestFronts:
         assert [f.tolist() for f in fronts] == [f.tolist() for f in full[:len(fronts)]]
         assert sum(f.size for f in fronts) >= size > sum(f.size for f in fronts[:-1])
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.permutations(range(12)), st.integers(1, 12))
+    def test_total_order_ranks_one_row_per_front(self, keys, size):
+        # Rows [k, 0, 0] are totally ordered by k, as on a collapsed branin front.
+        F = np.zeros((12, 3))
+        F[:, 0] = keys
+        by_key = np.argsort(F[:, 0]).tolist()
+        fronts = fast_non_dominated_fronts(F, size)
+        assert [f.tolist() for f in fronts] == [[i] for i in by_key[:size]]
+        X, G = _truncate(np.arange(12.0)[:, None], F, size)
+        assert X[:, 0].astype(int).tolist() == sorted(by_key[:size])
+        assert np.array_equal(G, F[sorted(by_key[:size])])
+
 
 class TestTruncate:
     @settings(max_examples=200, deadline=None)

@@ -1,16 +1,22 @@
-"""The comparison mode of ``tools/quality_panel.py``, which judges changes that move trajectories."""
+"""``tools/quality_panel.py``: its measures and the comparison mode, which judges changes that move trajectories."""
 
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 PANEL = Path(__file__).resolve().parents[1] / "tools" / "quality_panel.py"
 
 
-def write_panel(path, regrets, evals, shares, groups=("ring-mace",)):
+def write_panel(path, regrets, evals, shares, groups=("ring-mace",), repeats=None):
     runs = [{"seed": s, "regret": r, "evals_to_first_feasible": e, "fallback_share": f}
             for s, (r, e, f) in enumerate(zip(regrets, evals, shares))]
+    for run, share in zip(runs, repeats or ()):
+        run["repeat_share"] = share
     path.write_text("".join(json.dumps({"group": g, "runs": runs}) + "\n" for g in groups), encoding="utf-8")
 
 
@@ -58,3 +64,40 @@ def test_compare_with_no_shared_group_fails(tmp_path):
     result = run_compare(empty, empty)
     assert result.returncode == 1
     assert result.stdout.splitlines() == ["no group in both files"]
+
+
+def test_compare_names_a_measure_only_one_file_holds(tmp_path):
+    parent, change = tmp_path / "parent.jsonl", tmp_path / "change.jsonl"
+    write_panel(parent, [0.5, 0.2], [30, 40], [0.0, 0.2])
+    write_panel(change, [0.3, 0.1], [30, 35], [0.0, 0.2], repeats=[0.0, 0.1])
+    result = run_compare(parent, change)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[-1] == f"measure repeat_share only in {change}"
+    assert sorted(line.split()[1] for line in lines[:-1]) == [
+        "evals_to_first_feasible", "fallback_share", "regret"]
+
+
+def test_compare_counts_repeat_share_wins(tmp_path):
+    parent, change = tmp_path / "parent.jsonl", tmp_path / "change.jsonl"
+    write_panel(parent, [0.5, 0.2], [30, 40], [0.0, 0.2], repeats=[0.25, 0.0])
+    write_panel(change, [0.5, 0.2], [30, 40], [0.0, 0.2], repeats=[0.0, 0.0])
+    result = run_compare(parent, change)
+    assert result.returncode == 0, result.stderr
+    line = next(line for line in result.stdout.splitlines() if line.split()[1] == "repeat_share")
+    assert line.endswith("change better/worse/tied 1/0/1")
+
+
+def test_repeat_share_counts_proposals_equal_to_an_earlier_evaluation(monkeypatch):
+    monkeypatch.syspath_prepend(str(PANEL.parent))
+    panel = importlib.import_module("quality_panel")
+    a, b, c = np.array([0.1, 0.2]), np.array([0.3, 0.4]), np.array([0.5, 0.6])
+    # The initial design (iteration 0) holds a and b; the batch repeats a, then c within itself.
+    steps = [(0, a), (0, b), (1, a.copy()), (1, c), (1, c.copy()), (2, np.array([0.1, 0.2000001]))]
+    rec = SimpleNamespace(problem_name="branin", final_incumbent=None, evals_to_first_feasible=None,
+                          evaluations=[SimpleNamespace(iteration=i, x=x, provenance="pareto-sample")
+                                       for i, x in steps])
+    out = panel.measure(lambda seed: rec, 3)
+    assert out["seed"] == 3 and out["regret"] is None
+    assert out["repeat_share"] == 2 / 4
+    assert out["fallback_share"] == 0.0

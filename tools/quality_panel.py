@@ -3,10 +3,11 @@
 Each group runs seeds 0-59 of one campaign shape and prints
 ``{"group": ..., "runs": [...]}`` with, per seed, the final regret (the final
 feasible incumbent's value minus the known optimum; null when no feasible
-point was found), the evaluations to the first feasible point and the share
-of proposed points that are ``fallback-random`` padding.  The runs
-are deterministic, so two trees are compared by running this on each and
-then comparing the outputs::
+point was found), the evaluations to the first feasible point, the share
+of proposed points that are ``fallback-random`` padding, and the share of
+proposed points whose ``x`` bytes equal an earlier evaluation's (a repeated
+simulation).  The runs are deterministic, so two trees are compared by
+running this on each and then comparing the outputs::
 
     python tools/quality_panel.py > change.jsonl
     python tools/quality_panel.py --compare parent.jsonl change.jsonl
@@ -15,7 +16,9 @@ The comparison prints, per group and measure, the median and interquartile
 range on each side and how many seeds the second file wins, loses and ties
 (lower is better for every measure; a missing regret loses to any value).
 It then names each group, and each seed of a shared group, that only one file
-has, and exits 1 if it named any or if the files share no group.  It imports
+has, and exits 1 if it named any or if the files share no group.  It also
+names each measure that only one file holds, without failing, and compares
+the measures both hold.  It imports
 ``mace`` from this checkout's ``src/``.  All groups take several minutes on a
 2-core machine.
 """
@@ -36,7 +39,7 @@ from mace.problems import builtin  # noqa: E402
 from signature_digests import GROUPS as DIGEST_GROUPS, _engine  # noqa: E402
 
 SEEDS = range(60)
-MEASURES = ("regret", "evals_to_first_feasible", "fallback_share")
+MEASURES = ("regret", "evals_to_first_feasible", "fallback_share", "repeat_share")
 
 # Criterion 6's branin shapes, criterion 7's ring runs, and two more problems
 # at branin's B=5 budget: a constrained one and a 10-d unconstrained one.
@@ -51,12 +54,19 @@ def measure(run, seed: int) -> dict:
     rec = run(seed)
     problem = builtin(rec.problem_name)
     best = rec.final_incumbent
-    proposed = [r.provenance for r in rec.evaluations if r.iteration > 0]
+    proposed, repeats, seen = [], 0, set()
+    for r in rec.evaluations:
+        key = r.x.tobytes()
+        if r.iteration > 0:
+            proposed.append(r.provenance)
+            repeats += key in seen
+        seen.add(key)
     return {
         "seed": seed,
         "regret": best.y - problem.known_optimum if best is not None and best.feasible else None,
         "evals_to_first_feasible": rec.evals_to_first_feasible,
         "fallback_share": proposed.count("fallback-random") / len(proposed) if proposed else 0.0,
+        "repeat_share": repeats / len(proposed) if proposed else 0.0,
     }
 
 
@@ -75,10 +85,13 @@ def compare(parent_path: str, change_path: str) -> bool:
         return {g["group"]: {r["seed"]: r for r in g["runs"]} for g in groups}
 
     parent, change = load(parent_path), load(change_path)
+    # The measures every run of a file holds; an output of an older version of this tool lacks newer ones.
+    held = [{m for m in MEASURES if all(m in r for runs in panel.values() for r in runs.values())}
+            for panel in (parent, change)]
     shared = [g for g in parent if g in change]
     for group in shared:
         seeds = sorted(parent[group].keys() & change[group].keys())
-        for name in MEASURES:
+        for name in (m for m in MEASURES if m in held[0] & held[1]):
             a = [parent[group][s][name] for s in seeds]
             b = [change[group][s][name] for s in seeds]
             # None (nothing feasible) ranks after every value.
@@ -100,6 +113,9 @@ def compare(parent_path: str, change_path: str) -> bool:
         unmatched.append("no group in both files")
     for line in unmatched:
         print(line)
+    for path, ours, theirs in ((parent_path, *held), (change_path, *held[::-1])):
+        for name in (m for m in MEASURES if m in ours - theirs):
+            print(f"measure {name} only in {path}")
     return not unmatched
 
 
