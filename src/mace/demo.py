@@ -217,7 +217,8 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, seed: int = 0, ini
 
     Exactly ``config.max_evaluations`` points are scored after the initial
     population.  ``initial_points`` warm-start part of that population (rows
-    beyond the population size are ignored); the rest is uniform random.  The
+    beyond the population size are ignored; coordinates are clipped into the
+    cube, and a NaN raises ``ValueError``); the rest is uniform random.  The
     result merges the final population with the archive of all non-dominated
     evaluated points, each distinct point once; it is deterministic for a fixed
     seed.
@@ -228,10 +229,13 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, seed: int = 0, ini
 
     pop_x = rng.random((pop, dim))
     if initial_points is not None:
-        seeds = np.clip(np.atleast_2d(np.asarray(initial_points, dtype=float)), 0.0, 1.0)
-        k = min(pop, seeds.shape[0])
+        seeds = np.atleast_2d(np.asarray(initial_points, dtype=float))
         if seeds.shape[1] != dim:
             raise DimensionMismatchError("initial_points dimension does not match dim")
+        if np.isnan(seeds).any():
+            raise ValueError("initial_points must not contain NaN")
+        seeds = np.clip(seeds, 0.0, 1.0)
+        k = min(pop, seeds.shape[0])
         pop_x[:k] = seeds[:k]
     pop_f = _evaluate(objective_fn, pop_x)
     arch_x, arch_f = _update_archive(pop_x[:0], pop_f[:0], pop_x, pop_f, ARCHIVE_CAP)

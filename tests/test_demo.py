@@ -349,6 +349,20 @@ class TestDemoOptimize:
         assert np.all(a.points >= 0) and np.all(a.points <= 1)
         assert np.array_equal(a.points, b.points)
 
+    def test_initial_points_nan_rejected_inf_clipped(self):
+        fn = lambda X: np.column_stack([X[:, 0], 1.0 - X[:, 0]])
+        cfg = DemoConfig(population_size=10, max_evaluations=20)
+        with pytest.raises(ValueError, match="initial_points"):
+            demo_optimize(fn, 2, cfg, seed=3, initial_points=[[np.nan, 0.5]])
+        seen = []
+
+        def recording(X):
+            seen.append(X.copy())
+            return fn(X)
+
+        demo_optimize(recording, 2, cfg, seed=3, initial_points=[[np.inf, -np.inf]])
+        assert seen[0][0].tolist() == [1.0, 0.0]
+
     def test_initial_points_dimension_checked(self):
         fn = lambda X: np.sum(X, axis=1, keepdims=True)
         with pytest.raises(DimensionMismatchError):

@@ -327,7 +327,10 @@ class TestFit:
 
 
 class TestWarmFit:
-    """A refit from ``previous``: the heuristic start, ``previous`` and the first random draw."""
+    """A refit from ``previous``: the heuristic start, ``previous`` and, below six inputs, the first random draw.
+
+    At most three starts, two from six inputs up.
+    """
 
     @pytest.fixture
     def starts(self, monkeypatch):
@@ -343,39 +346,52 @@ class TestWarmFit:
         return recorded
 
     @staticmethod
-    def grown_data():
+    def grown_data(dim=3):
         """Twelve points, then the same twelve and three more, as one iteration adds a batch."""
-        full = random_dataset(np.random.default_rng(21), 15, 3)
+        full = random_dataset(np.random.default_rng(21), 15, dim)
         return Dataset(full.X[:12], full.y[:12]), full
 
-    @pytest.mark.parametrize("restarts, expected", [(5, 3), (2, 3), (1, 2)])
-    def test_at_most_three_starts(self, starts, restarts, expected):
-        first, grown = self.grown_data()
-        previous = fit_gp(first, restarts=5, seed=3).hyperparams
-        starts.clear()
-        fit_gp(grown, restarts=restarts, seed=4, previous=previous)
-        assert len(starts) == expected
-
-    def test_starts_are_heuristic_previous_then_first_draw(self, starts):
-        first, grown = self.grown_data()
+    @staticmethod
+    def cold_and_warm_starts(starts, dim, restarts):
+        """The starts of a cold fit (5 restarts) and of a refit from ``previous``, and ``log(previous)``."""
+        first, grown = TestWarmFit.grown_data(dim)
         previous = fit_gp(first, restarts=5, seed=3).hyperparams
         starts.clear()
         fit_gp(grown, restarts=5, seed=4)
         cold = list(starts)
         starts.clear()
-        fit_gp(grown, restarts=5, seed=4, previous=previous)
+        fit_gp(grown, restarts=restarts, seed=4, previous=previous)
+        log_previous = np.log([previous.signal_stddev, previous.noise_stddev, *previous.lengthscales])
+        return cold, list(starts), log_previous
+
+    @pytest.mark.parametrize("restarts, expected", [(5, 3), (2, 3), (1, 2)])
+    def test_at_most_three_starts(self, starts, restarts, expected):
+        _, warm, _ = self.cold_and_warm_starts(starts, 3, restarts)
+        assert len(warm) == expected
+
+    def test_starts_are_heuristic_previous_then_first_draw(self, starts):
+        cold, warm, log_previous = self.cold_and_warm_starts(starts, 3, 5)
         assert len(cold) == 5
-        assert starts[0].tobytes() == cold[0].tobytes()
-        expected = np.log([previous.signal_stddev, previous.noise_stddev, *previous.lengthscales])
-        assert starts[1].tobytes() == expected.tobytes()
-        assert starts[2].tobytes() == cold[1].tobytes()
+        assert [x.tobytes() for x in warm] == [cold[0].tobytes(), log_previous.tobytes(), cold[1].tobytes()]
+
+    def test_five_inputs_keep_the_first_draw(self, starts):
+        cold, warm, log_previous = self.cold_and_warm_starts(starts, 5, 5)
+        assert [x.tobytes() for x in warm] == [cold[0].tobytes(), log_previous.tobytes(), cold[1].tobytes()]
+
+    @pytest.mark.parametrize("restarts", [5, 2, 1])
+    def test_six_inputs_start_from_heuristic_then_previous_only(self, starts, restarts):
+        cold, warm, log_previous = self.cold_and_warm_starts(starts, 6, restarts)
+        assert [x.tobytes() for x in warm] == [cold[0].tobytes(), log_previous.tobytes()]
 
     @pytest.mark.parametrize("restarts", [1, 5])
-    @pytest.mark.parametrize("previous", [None, KernelHyperParams(3.0, 0.5, [5.0, 0.02, 2.0])],
-                             ids=["fitted-to-fewer-points", "far-off"])
-    def test_evidence_at_least_that_at_previous(self, restarts, previous):
-        first, grown = self.grown_data()
-        if previous is None:
+    @pytest.mark.parametrize("dim, far_off", [(3, False), (3, True), (6, False), (6, True)],
+                             ids=["fitted-to-fewer-points", "far-off",
+                                  "six-inputs-fitted-to-fewer-points", "six-inputs-far-off"])
+    def test_evidence_at_least_that_at_previous(self, restarts, dim, far_off):
+        first, grown = self.grown_data(dim)
+        if far_off:
+            previous = KernelHyperParams(3.0, 0.5, np.resize([5.0, 0.02, 2.0], dim))
+        else:
             previous = fit_gp(first, restarts=5, seed=3).hyperparams
         model = fit_gp(grown, restarts=restarts, seed=4, previous=previous)
         assert log_marginal_likelihood(grown, model.hyperparams) >= log_marginal_likelihood(grown, previous)

@@ -101,3 +101,17 @@ def test_repeat_share_counts_proposals_equal_to_an_earlier_evaluation(monkeypatc
     assert out["seed"] == 3 and out["regret"] is None
     assert out["repeat_share"] == 2 / 4
     assert out["fallback_share"] == 0.0
+
+
+def test_regret_is_the_final_value_without_a_known_optimum(monkeypatch):
+    monkeypatch.syspath_prepend(str(PANEL.parent))
+    panel = importlib.import_module("quality_panel")
+    best = SimpleNamespace(y=0.2133, feasible=True)
+    rec = SimpleNamespace(problem_name="amp-mimic-10d", final_incumbent=best, evals_to_first_feasible=4,
+                          evaluations=[])
+    assert panel.measure(lambda seed: rec, 0)["regret"] == 0.2133
+    # With a known optimum the regret subtracts it; an infeasible incumbent has none.
+    rec.problem_name = "hartmann6"
+    assert panel.measure(lambda seed: rec, 0)["regret"] == 0.2133 - (-3.322368011391339)
+    best.feasible = False
+    assert panel.measure(lambda seed: rec, 0)["regret"] is None
