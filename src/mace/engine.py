@@ -21,7 +21,7 @@ import numpy as np
 from . import acquisition as acq
 from .demo import DemoConfig, ParetoSet, demo_optimize
 from .errors import DimensionMismatchError, EvaluatorFaultError, _require_count, _require_counts, _require_non_negative
-from .gp import Dataset, GpModel, _one_blas_thread, fit_gp, predict
+from .gp import Dataset, GpModel, fit_gp, predict
 from .problems import Problem, evaluate
 
 # Each ensemble member's objective column, in canonical order, from the posterior
@@ -240,7 +240,9 @@ def make_evaluator(problem: Problem) -> Evaluator:
 
 
 def _canonical_ensemble(ensemble) -> tuple:
-    """Lower-cased ensemble names in ``ENSEMBLE_ORDER``; unknown or no names raise."""
+    """Lower-cased ensemble names in ``ENSEMBLE_ORDER``; a string is one name; unknown or no names raise."""
+    if isinstance(ensemble, str):
+        ensemble = (ensemble,)
     names = {str(e).lower() for e in ensemble}
     unknown = names - set(ENSEMBLE_ORDER)
     if unknown:
@@ -382,16 +384,14 @@ def _run(problem: Problem, config: RunConfig, evaluator: Optional[Evaluator], al
     """The loop every runner shares: the initial design, then one batch per iteration.
 
     ``propose(rec, t, rng)`` returns iteration ``t``'s ``(points, provenance,
-    IterationRecord or None)``; ``rng`` is the run's only generator.  It runs
-    on one BLAS thread; the evaluator runs at the process's own count.
+    IterationRecord or None)``; ``rng`` is the run's only generator.
     """
     evaluator = evaluator or make_evaluator(problem)
     rng = np.random.default_rng(config.seed)
     rec = RunRecord(problem.name, algorithm, problem.dim, problem.n_constraints, config)
     initial = (_initial_design(config, problem.dim, rng), ["init"] * config.n_init, None)
     for t in range(config.n_iter + 1):
-        with _one_blas_thread():
-            points, provenance, info = propose(rec, t, rng) if t else initial
+        points, provenance, info = propose(rec, t, rng) if t else initial
         start = time.perf_counter()
         y, C = evaluator(points)
         wall_ms = (time.perf_counter() - start) * 1000.0

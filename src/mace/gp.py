@@ -14,6 +14,10 @@ with the checks ``scipy.linalg``'s wrappers make.  ``setulb`` and LAPACK are
 loaded from scipy's own extension files (``scipy/optimize/_lbfgsb`` and
 ``scipy/linalg/_flapack``), so importing this module runs neither
 ``scipy.optimize``'s nor ``scipy.linalg``'s ``__init__``.
+
+``build_gp``, ``fit_gp`` and ``predict`` run their BLAS and LAPACK calls on one
+OpenBLAS thread, called from the engine or from library code alike, and put
+the previous thread count back on return.
 """
 
 from __future__ import annotations
@@ -245,11 +249,13 @@ def _openblas_thread_controls() -> tuple:
 def _one_blas_thread():
     """Hold every loaded OpenBLAS at one thread, then put back the previous counts.
 
-    The matrices a proposal factors are at most a few hundred rows, where a
-    second BLAS thread costs more than it saves and makes results depend on
-    the thread count.  The count is process-wide, so nested and concurrent
-    holders share one pin: the first to enter saves the counts and the last to
-    leave restores them.
+    ``build_gp``, ``fit_gp`` and ``predict`` are decorated with it, so every
+    BLAS call of a proposal and of a library fit or prediction runs on one
+    thread.  Their matrices are at most a few hundred rows, where a second
+    BLAS thread costs more than it saves and makes results depend on the
+    thread count.  The count is process-wide, so nested and concurrent
+    holders (``fit_gp`` calls ``build_gp``) share one pin: the first to enter
+    saves the counts and the last to leave restores them.
     """
     global _blas_depth, _blas_restore
     with _blas_lock:
@@ -287,6 +293,7 @@ def log_marginal_likelihood(dataset: Dataset, hyp: KernelHyperParams) -> float:
     )
 
 
+@_one_blas_thread()
 def build_gp(dataset: Dataset, hyp: KernelHyperParams) -> GpModel:
     """Construct a model with fixed hyperparameters (no fitting)."""
     y_std, y_mean, y_scale = _standardize(dataset.y)
@@ -418,6 +425,7 @@ def minimize(fun, x0, args, bounds) -> MinimizeResult:
     return MinimizeResult(fun=f, x=x, nfev=nfev, nit=nit, status=status)
 
 
+@_one_blas_thread()
 def fit_gp(dataset: Dataset, restarts: int, seed: int = 0,
            previous: Optional[KernelHyperParams] = None) -> GpModel:
     """Fit hyperparameters by multi-start maximization of the log evidence.
@@ -431,7 +439,7 @@ def fit_gp(dataset: Dataset, restarts: int, seed: int = 0,
     inputs up.
     """
     _require_count("restarts", restarts, 1)
-    if dataset.n < 2 or np.unique(dataset.X, axis=0).shape[0] < 2:
+    if np.unique(dataset.X, axis=0).shape[0] < 2:
         raise ValueError("fitting requires at least two distinct design points")
     d = dataset.dim
     if previous is not None and previous.dim != d:
@@ -471,6 +479,7 @@ def fit_gp(dataset: Dataset, restarts: int, seed: int = 0,
     return build_gp(dataset, hyp)
 
 
+@_one_blas_thread()
 def predict(model: GpModel, x_star) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and stddev at one point (d,) or a batch (n, d).
 

@@ -826,6 +826,13 @@ class TestRunConfig:
         cfg = RunConfig(n_iter=1, batch_size=1, ensemble=("EI", "pi"))
         assert cfg.ensemble == ("pi", "ei")
 
+    def test_ensemble_string_is_one_member(self):
+        assert RunConfig(n_iter=1, batch_size=1, ensemble="EI").ensemble == ("ei",)
+        model, ds = toy_model(np.random.default_rng(0))
+        assert build_unconstrained_objectives(model, float(ds.y.min()), ensemble="ei")(ds.X).shape == (12, 1)
+        with pytest.raises(ValueError, match=r"unknown ensemble members: \['pi,ei'\]"):
+            RunConfig(n_iter=1, batch_size=1, ensemble="pi,ei")
+
 
 class TestInitialDesign:
     SEEDS = range(24)
@@ -923,66 +930,111 @@ class BlasProbe:
         return _run(builtin("branin"), config, self.evaluator, "probe", self.propose)
 
 
+def probe_gp(monkeypatch, controls, name):
+    """Wrap ``gp.<name>`` so that each call records the BLAS thread counts it sees."""
+    seen, original = [], getattr(gp, name)
+
+    def probed(*args, **kwargs):
+        seen.append(blas_counts(controls))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gp, name, probed)
+    return seen
+
+
+# Each GP entry point, called on a toy model and its data, with the module
+# global it reaches before returning.
+GP_CALLS = {
+    "fit_gp": (lambda model, ds: fit_gp(ds, restarts=2), "_neg_lml_and_grad"),
+    "build_gp": (lambda model, ds: build_gp(ds, model.hyperparams), "kernel_matrix"),
+    "predict": (lambda model, ds: predict(model, ds.X), "kernel_matrix"),
+}
+
+
 class TestProposeOnOneBlasThread:
-    def test_propose_pinned_evaluator_at_process_count(self, blas_at_two):
+    """``build_gp``, ``fit_gp`` and ``predict`` pin BLAS to one thread; the rest runs at the process's count."""
+
+    @pytest.mark.parametrize("call", GP_CALLS)
+    def test_gp_call_pinned_outside_a_run(self, blas_at_two, monkeypatch, call):
+        gp_call, probed = GP_CALLS[call]
+        model, ds = toy_model(np.random.default_rng(0))
+        seen = probe_gp(monkeypatch, blas_at_two, probed)
+        gp_call(model, ds)
+        assert seen and all(counts == [1] * len(blas_at_two) for counts in seen)
+        assert blas_counts(blas_at_two) == [2] * len(blas_at_two)
+        assert gp._blas_depth == 0
+
+    def test_run_leaves_propose_and_evaluator_at_process_count(self, blas_at_two):
+        # The probe's proposer calls no GP function, so nothing pins it.
         probe = BlasProbe(blas_at_two)
         rec = probe.run(n_iter=3)
-        ones, twos = [1] * len(blas_at_two), [2] * len(blas_at_two)
+        twos = [2] * len(blas_at_two)
         assert len(rec.evaluations) == 5
-        assert probe.in_propose == [ones] * 3
+        assert probe.in_propose == [twos] * 3
         assert probe.in_evaluator == [twos] * 4
         assert blas_counts(blas_at_two) == twos
         assert gp._blas_depth == 0
 
-    def test_restored_when_propose_raises(self, blas_at_two):
-        def fail():
-            raise RuntimeError("proposer failed")
-
-        with pytest.raises(RuntimeError, match="proposer failed"):
-            BlasProbe(blas_at_two, inside=fail).run()
+    def test_restored_when_propose_raises(self, blas_at_two, monkeypatch):
+        model, _ = toy_model(np.random.default_rng(0))
+        seen = probe_gp(monkeypatch, blas_at_two, "kernel_matrix")
+        # The model has two inputs, so kernel_matrix raises inside predict.
+        probe = BlasProbe(blas_at_two, inside=lambda: predict(model, np.zeros((1, 3))))
+        with pytest.raises(DimensionMismatchError):
+            probe.run()
+        assert seen == [[1] * len(blas_at_two)]
         assert blas_counts(blas_at_two) == [2] * len(blas_at_two)
         assert gp._blas_depth == 0
 
-    def test_nested_run_restores_once(self, blas_at_two):
-        after_inner = []
+    def test_nested_calls_restore_once(self, blas_at_two, monkeypatch):
+        # fit_gp ends in build_gp: the inner call must not restore the count
+        # while the outer one still holds it.
+        after_inner, build = [], gp.build_gp
 
-        def nested():
-            BlasProbe(blas_at_two).run(n_iter=1)
+        def build_then_probe(*args):
+            model = build(*args)
             after_inner.append(blas_counts(blas_at_two))
+            return model
 
-        BlasProbe(blas_at_two, inside=nested).run(n_iter=1)
+        monkeypatch.setattr(gp, "build_gp", build_then_probe)
+        _, ds = toy_model(np.random.default_rng(0))
+        fit_gp(ds, restarts=1)
         assert after_inner == [[1] * len(blas_at_two)]
         assert blas_counts(blas_at_two) == [2] * len(blas_at_two)
+        assert gp._blas_depth == 0
 
-    def test_concurrent_runs_restore_once(self, blas_at_two):
+    def test_concurrent_calls_restore_once(self, blas_at_two, monkeypatch):
+        model, ds = toy_model(np.random.default_rng(0))
         both_inside = threading.Barrier(2, timeout=30)
         first_done = threading.Event()
         seen_by_second, errors = [], []
+        kernel = gp.kernel_matrix
 
-        def wait_for_first():
+        def kernel_after_both_enter(*args):
             both_inside.wait()
-            assert first_done.wait(timeout=30)
-            seen_by_second.append(blas_counts(blas_at_two))
+            if threading.current_thread().name == "second":
+                assert first_done.wait(timeout=30)
+                seen_by_second.append(blas_counts(blas_at_two))
+            return kernel(*args)
 
-        def run(probe, done=None):
+        def call(done=None):
             try:
-                probe.run(n_iter=1)
+                predict(model, ds.X)
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
                 both_inside.abort()
             if done is not None:
                 done.set()
 
-        first = BlasProbe(blas_at_two, inside=both_inside.wait)
-        second = BlasProbe(blas_at_two, inside=wait_for_first)
-        threads = [threading.Thread(target=run, args=(first, first_done)),
-                   threading.Thread(target=run, args=(second,))]
+        monkeypatch.setattr(gp, "kernel_matrix", kernel_after_both_enter)
+        threads = [threading.Thread(target=call, args=(first_done,), name="first"),
+                   threading.Thread(target=call, name="second")]
         for th in threads:
             th.start()
         for th in threads:
             th.join(timeout=60)
         assert not errors and not any(th.is_alive() for th in threads)
-        # The first run to leave must not restore the count under the second.
+        # The first call to leave must not restore the count under the second.
         assert seen_by_second == [[1] * len(blas_at_two)]
         assert blas_counts(blas_at_two) == [2] * len(blas_at_two)
         assert gp._blas_depth == 0
