@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvaluatorFaultError, _require_count, _require_counts
+from .errors import DimensionMismatchError, EvaluatorFaultError, _require_count, _require_counts, _require_unit_cube
 
 # DE/rand/1 variation: mutation scale factor F and binomial crossover rate CR.
 SCALE_FACTOR = 0.8
@@ -44,28 +44,36 @@ class DemoConfig:
         _require_counts(self, population_size=4, max_evaluations=self.population_size)
 
 
+def _dedup_indices(points: np.ndarray) -> np.ndarray:
+    # Points closer than 1e-9 in every coordinate collapse onto the same grid
+    # cell; keep the first occurrence of each cell.
+    keys = np.round(points / 1e-9).astype(np.int64)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    first.sort()
+    return first
+
+
 @dataclass(frozen=True)
 class ParetoSet:
-    """Mutually non-dominated candidate points with their objective vectors."""
+    """Unit-cube points, each held once (the first row of each ``_dedup_indices`` cell), with their objectives."""
 
-    points: np.ndarray      # (k, d), unit cube
+    points: np.ndarray      # (k, d)
     objectives: np.ndarray  # (k, m)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         obj = np.atleast_2d(np.asarray(self.objectives, dtype=float))
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "objectives", obj)
         if pts.shape[0] != obj.shape[0]:
             raise DimensionMismatchError("points and objectives must have equal row counts")
         if pts.shape[0] < 1:
             raise ValueError("a Pareto set holds at least one member")
+        _require_unit_cube("Pareto set points", pts)
+        first = _dedup_indices(pts)
+        object.__setattr__(self, "points", pts[first])
+        object.__setattr__(self, "objectives", obj[first])
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def subset(self, indices) -> "ParetoSet":
-        return ParetoSet(self.points[indices], self.objectives[indices])
 
 
 def dominates(a, b) -> bool:
@@ -220,8 +228,8 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, seed: int = 0, ini
     beyond the population size are ignored; coordinates are clipped into the
     cube, and a NaN raises ``ValueError``); the rest is uniform random.  The
     result merges the final population with the archive of all non-dominated
-    evaluated points, each distinct point once; it is deterministic for a fixed
-    seed.
+    evaluated points, each point once under ``ParetoSet``'s identity rule; it
+    is deterministic for a fixed seed.
     """
     _require_count("dim", dim, 1)
     rng = np.random.default_rng(seed)
@@ -271,8 +279,7 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, seed: int = 0, ini
 
     all_x = np.vstack([pop_x, arch_x])
     all_f = np.vstack([pop_f, arch_f])
-    # A population member is usually also in the archive; keep its first copy.
-    first = np.sort(np.unique(all_x, axis=0, return_index=True)[1])
-    all_x, all_f = all_x[first], all_f[first]
-    mask = non_dominated_mask(all_f)
-    return ParetoSet(all_x[mask], all_f[mask])
+    # Drop the population's copies of archive members before the mask: its cost grows with the square of its rows.
+    first = _dedup_indices(all_x)
+    keep = first[non_dominated_mask(all_f[first])]
+    return ParetoSet(all_x[keep], all_f[keep])

@@ -19,7 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import acquisition as acq
-from .demo import DemoConfig, ParetoSet, demo_optimize
+# _dedup_indices is not used here: perfbench/tracer.py (_sample_attrs) reads engine._dedup_indices.
+from .demo import DemoConfig, ParetoSet, _dedup_indices, demo_optimize
 from .errors import DimensionMismatchError, EvaluatorFaultError, _require_count, _require_counts, _require_non_negative
 from .gp import Dataset, GpModel, fit_gp, predict
 from .problems import Problem, evaluate
@@ -310,28 +311,18 @@ def prune_candidates(pareto: ParetoSet, rho: float):
     keep = pareto.objectives[:, -1] <= rho
     if not bool(np.any(keep)):
         return pareto, True
-    return pareto.subset(np.flatnonzero(keep)), False
-
-
-def _dedup_indices(points: np.ndarray) -> np.ndarray:
-    # Points closer than 1e-9 in every coordinate collapse onto the same grid
-    # cell; keep the first occurrence of each cell.
-    keys = np.round(points / 1e-9).astype(np.int64)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    first.sort()
-    return first
+    return ParetoSet(pareto.points[keep], pareto.objectives[keep]), False
 
 
 def sample_batch(pareto: ParetoSet, batch_size: int, rng: np.random.Generator) -> BatchProposal:
     """Draw batch_size points uniformly without replacement from the Pareto set.
 
-    Near-duplicate members are counted once; any deficit is filled with
-    uniform random points flagged fallback-random.
+    ``ParetoSet`` holds each point once, so no two draws coincide; any deficit
+    is filled with uniform random points flagged fallback-random.
     """
     _require_count("batch_size", batch_size, 1)
-    uniq = _dedup_indices(pareto.points)
-    take = min(batch_size, uniq.size)
-    chosen = uniq[rng.choice(uniq.size, size=take, replace=False)]
+    take = min(batch_size, len(pareto))
+    chosen = rng.choice(len(pareto), size=take, replace=False)
     points = pareto.points[chosen]
     objectives = pareto.objectives[chosen]
     provenance = ["pareto-sample"] * take

@@ -13,6 +13,7 @@ from mace.demo import (
     SCALE_FACTOR,
     DemoConfig,
     ParetoSet,
+    _dedup_indices,
     _domination_matrix,
     _reflect_unit,
     _truncate,
@@ -316,6 +317,7 @@ class TestDemoOptimize:
 
         ps = demo_optimize(fn, 2, DemoConfig(), seed=0)
         assert np.unique(ps.points, axis=0).shape[0] == len(ps)
+        assert _dedup_indices(ps.points).size == len(ps)
 
     def test_result_mutually_non_dominated_and_in_cube(self):
         rng = np.random.default_rng(5)
@@ -427,3 +429,14 @@ class TestParetoSet:
             ParetoSet(np.zeros((2, 1)), np.zeros((3, 2)))
         with pytest.raises(ValueError, match="at least one member"):
             ParetoSet(np.empty((0, 2)), np.empty((0, 3)))
+
+    @pytest.mark.parametrize("points", [[[np.nan, 0.5], [0.2, 0.3]], [[1.7, -3.0]], [[0.5, 0.5], [0.2, 1.1]]])
+    def test_points_outside_unit_cube_raise(self, points):
+        with pytest.raises(ValueError, match="unit cube"):
+            ParetoSet(points, np.zeros((len(points), 2)))
+
+    def test_near_duplicates_keep_first_row_and_its_objectives(self):
+        a, b = np.array([0.5, 0.5]), np.array([0.25, 0.75])
+        ps = ParetoSet(np.vstack([a, a + 1e-12, b, a + 2e-13]), np.arange(4.0)[:, None])
+        assert np.array_equal(ps.points, np.vstack([a, b]))
+        assert np.array_equal(ps.objectives, [[0.0], [2.0]])
