@@ -3,8 +3,9 @@
 The optimizer follows the DEMO selection scheme: a trial vector replaces its
 parent when it dominates it, is discarded when dominated, and otherwise joins
 the population, which is then truncated back to size with non-dominated
-sorting and crowding distance.  An external archive keeps the non-dominated
-set of everything evaluated so far.
+sorting and crowding distance.  An external archive is the non-dominated set
+of everything evaluated so far only while that set stays within
+``ARCHIVE_CAP`` members; above it, crowding distance keeps 600 members.
 
 Every dominance test, between row sets or between a parent and its child, goes
 through the weak order ``le[i, j] = all(A[i] <= B[j])``.  Row i dominates row
@@ -185,26 +186,29 @@ def _evaluate(objective_fn, X: np.ndarray) -> np.ndarray:
     return F
 
 
-def _update_archive(arch_x, arch_f, new_x, new_f, cap: int):
-    """Merge new evaluations into the non-dominated archive, crowding-pruned at cap.
+def _survivors(arch_f: np.ndarray, new_f: np.ndarray):
+    """Masks over a mutually non-dominated archive and over new rows: the rows nothing in their union dominates.
 
-    The archive is already mutually non-dominated, so only child-vs-child and
-    the two cross directions need checking.  Both cross directions come from
-    the two weak-order matrices ``le_ac`` (archive <= child) and ``le_ca``
-    (child <= archive): archive row i dominates child j iff
-    ``le_ac[i, j] and not le_ca[j, i]``, by the identity in the module
-    docstring, and symmetrically for children over archive rows.
+    Only new-vs-new and the two cross directions need checking, and by
+    transitivity only against the non-dominated new rows.  Both cross
+    directions come from the weak-order matrices ``le_an`` (archive <= new)
+    and ``le_na`` (new <= archive): archive row i dominates new row j iff
+    ``le_an[i, j] and not le_na[j, i]``, by the identity in the module
+    docstring, and symmetrically for new rows over archive rows.
     """
-    child_mask = non_dominated_mask(new_f)
-    cx, cf = new_x[child_mask], new_f[child_mask]
-    le_ac = _weakly_le(arch_f, cf)
-    le_ca = _weakly_le(cf, arch_f)
-    arch_dom_child = le_ac & ~le_ca.T
-    child_dom_arch = le_ca & ~le_ac.T
-    keep_arch = ~child_dom_arch.any(axis=0)
-    keep_child = ~arch_dom_child.any(axis=0)
-    X = np.vstack([arch_x[keep_arch], cx[keep_child]])
-    F = np.vstack([arch_f[keep_arch], cf[keep_child]])
+    keep_new = non_dominated_mask(new_f)
+    le_an = _weakly_le(arch_f, new_f[keep_new])
+    le_na = _weakly_le(new_f[keep_new], arch_f)
+    keep_arch = ~(le_na & ~le_an.T).any(axis=0)
+    keep_new[keep_new] = ~(le_an & ~le_na.T).any(axis=0)
+    return keep_arch, keep_new
+
+
+def _update_archive(arch_x, arch_f, new_x, new_f, cap: int):
+    """Merge new evaluations into the non-dominated archive (see ``_survivors``), crowding-pruned at cap."""
+    keep_arch, keep_new = _survivors(arch_f, new_f)
+    X = np.vstack([arch_x[keep_arch], new_x[keep_new]])
+    F = np.vstack([arch_f[keep_arch], new_f[keep_new]])
     if X.shape[0] > cap:
         keep = _most_spread(F, cap)
         X, F = X[keep], F[keep]
@@ -226,17 +230,18 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, seed: int = 0, ini
     Exactly ``config.max_evaluations`` points are scored after the initial
     population.  ``initial_points`` warm-start part of that population (rows
     beyond the population size are ignored; coordinates are clipped into the
-    cube, and a NaN raises ``ValueError``); the rest is uniform random.  The
-    result merges the final population with the archive of all non-dominated
-    evaluated points, each point once under ``ParetoSet``'s identity rule; it
-    is deterministic for a fixed seed.
+    cube, and a NaN raises ``ValueError``; an input holding no values seeds
+    nothing, as ``None`` does); the rest is uniform random.  The result is the
+    final population's and the archive's members that nothing in their union
+    dominates, population first, each point once under ``ParetoSet``'s
+    identity rule; it is deterministic for a fixed seed.
     """
     _require_count("dim", dim, 1)
     rng = np.random.default_rng(seed)
     pop = config.population_size
 
     pop_x = rng.random((pop, dim))
-    if initial_points is not None:
+    if initial_points is not None and np.size(initial_points):
         seeds = np.atleast_2d(np.asarray(initial_points, dtype=float))
         if seeds.shape[1] != dim:
             raise DimensionMismatchError("initial_points dimension does not match dim")
@@ -277,9 +282,9 @@ def demo_optimize(objective_fn, dim: int, config: DemoConfig, seed: int = 0, ini
 
         arch_x, arch_f = _update_archive(arch_x, arch_f, trial, trial_f, ARCHIVE_CAP)
 
-    all_x = np.vstack([pop_x, arch_x])
-    all_f = np.vstack([pop_f, arch_f])
-    # Drop the population's copies of archive members before the mask: its cost grows with the square of its rows.
-    first = _dedup_indices(all_x)
-    keep = first[non_dominated_mask(all_f[first])]
-    return ParetoSet(all_x[keep], all_f[keep])
+    # Each point once, before the merge: the population's copies of archive members go here.
+    first = _dedup_indices(np.vstack([pop_x, arch_x]))
+    p, a = first[first < len(pop_x)], first[first >= len(pop_x)] - len(pop_x)
+    keep_arch, keep_pop = _survivors(arch_f[a], pop_f[p])
+    return ParetoSet(np.vstack([pop_x[p[keep_pop]], arch_x[a[keep_arch]]]),
+                     np.vstack([pop_f[p[keep_pop]], arch_f[a[keep_arch]]]))

@@ -241,10 +241,14 @@ def make_evaluator(problem: Problem) -> Evaluator:
 
 
 def _canonical_ensemble(ensemble) -> tuple:
-    """Lower-cased ensemble names in ``ENSEMBLE_ORDER``; a string is one name; unknown or no names raise."""
+    """Lower-cased ensemble names in ``ENSEMBLE_ORDER``; a string is one name; a non-iterable, unknown or no names raise."""
     if isinstance(ensemble, str):
         ensemble = (ensemble,)
-    names = {str(e).lower() for e in ensemble}
+    try:
+        members = iter(ensemble)
+    except TypeError:
+        raise ValueError(f"ensemble must be a name or an iterable of names, not {ensemble!r}") from None
+    names = {str(e).lower() for e in members}
     unknown = names - set(ENSEMBLE_ORDER)
     if unknown:
         raise ValueError(f"unknown ensemble members: {sorted(unknown)}")

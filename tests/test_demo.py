@@ -214,7 +214,10 @@ class TestUpdateArchive:
         m = data.draw(st.sampled_from([1, 2, 3, 6]))
         pool = data.draw(objective_matrix(m=m))
         arch_f = pool[sorted(brute_force_front(pool))]
-        new_f = data.draw(objective_matrix(m=m))
+        # New rows include copies of archive rows: equal vectors, which neither side dominates.
+        copies = data.draw(st.lists(st.integers(0, arch_f.shape[0] - 1), max_size=3))
+        new_f = np.vstack([data.draw(objective_matrix(m=m)), arch_f[copies]])
+        new_f = new_f[data.draw(st.permutations(range(new_f.shape[0])))]
         # Point rows carry an id, so the result names which union rows survived.
         union_f = np.vstack([arch_f, new_f])
         ids = np.arange(union_f.shape[0], dtype=float)[:, None]
@@ -370,6 +373,53 @@ class TestDemoOptimize:
         with pytest.raises(DimensionMismatchError):
             demo_optimize(fn, 2, DemoConfig(population_size=5, max_evaluations=5),
                           initial_points=np.zeros((2, 3)))
+
+    def test_empty_initial_points_seed_nothing(self):
+        fn = lambda X: np.column_stack([X[:, 0], 1.0 - X[:, 0] + X[:, 1]])
+        cfg = DemoConfig(population_size=10, max_evaluations=20)
+        a = demo_optimize(fn, 2, cfg, seed=3, initial_points=None)
+        b = demo_optimize(fn, 2, cfg, seed=3, initial_points=[])
+        assert a.points.tobytes() == b.points.tobytes()
+        assert a.objectives.tobytes() == b.objectives.tobytes()
+        with pytest.raises(DimensionMismatchError):
+            demo_optimize(fn, 2, cfg, seed=3, initial_points=[[0.5]])
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_merge_matches_union_mask(self, monkeypatch, capped):
+        # The plain definition of the merge: the front of the stacked union, split at the archive's length.
+        def union_mask(arch_f, new_f):
+            keep = non_dominated_mask(np.vstack([arch_f, new_f]))
+            return keep[:arch_f.shape[0]], keep[arch_f.shape[0]:]
+
+        fn = lambda X: np.column_stack([X[:, 0], 1.0 - X[:, 0] + X[:, 1]])
+        if capped:
+            # Crowding prunes the archive at the cap, so it can take in rows that population members dominate.
+            cfg, seeds = DemoConfig(population_size=100, max_evaluations=4000), None
+        else:
+            # Repeated seeds put copies of archive members, and of each other, in the population.
+            cfg, seeds = DemoConfig(population_size=12, max_evaluations=24), np.repeat(
+                np.random.default_rng(1).random((4, 2)), 3, axis=0)
+        calls = []
+        survivors = demo._survivors
+
+        def recording(arch_f, new_f):
+            keep_arch, keep_new = survivors(arch_f, new_f)
+            calls.append((arch_f.shape[0], new_f.shape[0], keep_arch, keep_new))
+            return keep_arch, keep_new
+
+        monkeypatch.setattr(demo, "_survivors", recording)
+        a = demo_optimize(fn, 2, cfg, seed=0, initial_points=seeds)
+        n_arch, n_pop, keep_arch, _ = calls[-1]  # the final merge
+        if capped:
+            assert max(c[0] for c in calls) == ARCHIVE_CAP
+            assert not keep_arch.all()
+        else:
+            assert n_pop < cfg.population_size
+            assert n_arch < calls[-2][2].sum() + calls[-2][3].sum()  # the archive after its last update
+        monkeypatch.setattr(demo, "_survivors", union_mask)
+        b = demo_optimize(fn, 2, cfg, seed=0, initial_points=seeds)
+        assert a.points.tobytes() == b.points.tobytes()
+        assert a.objectives.tobytes() == b.objectives.tobytes()
 
     def test_nan_aborts(self):
         def fn(X):

@@ -787,6 +787,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="init_design"):
             RunConfig(n_iter=1, batch_size=1, init_design="grid")
 
+    @pytest.mark.parametrize("ensemble", [None, 5, 1.5])
+    def test_ensemble_must_be_names(self, ensemble):
+        with pytest.raises(ValueError, match="^ensemble must be a name or an iterable of names"):
+            RunConfig(n_iter=1, batch_size=1, ensemble=ensemble)
+
     @pytest.mark.parametrize("field, minimum", [("n_iter", 0), ("batch_size", 1), ("n_init", 2), ("gp_restarts", 1),
                                                 ("seed", 0)])
     def test_declared_minimums(self, field, minimum):
