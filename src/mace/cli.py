@@ -70,8 +70,8 @@ class ExperimentSpec:
     rho: float = _key(RunConfig.rho, low=0)
     demo_population: int = _key(DemoConfig.population_size, low=4)
     demo_evaluations: int = _key(DemoConfig.max_evaluations, low=4)
-    gp_restarts: int = _key(RunConfig.gp_restarts, "starts of each model's first GP fit; later refits run at most "
-                            "three starts, two from six inputs up", low=1)
+    gp_restarts: int = _key(RunConfig.gp_restarts, "starts of each model's first GP fit below six inputs, where "
+                            "refits run at most three; from six inputs up, every fit runs one start", low=1)
     init_design: str = _key(RunConfig.init_design, choices=INIT_DESIGNS)
     dim: Optional[int] = _key(None, "dimension of a cmd: problem", low=1)
     n_constraints: Optional[int] = _key(None, "constraint count of a cmd: problem", low=0, flag="--nc")

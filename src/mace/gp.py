@@ -50,18 +50,34 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# A refit of a model with at least this many inputs starts from the heuristic
-# and from ``previous`` only; below it, the first random draw is a third start.
-# At 2 inputs, refits without the draw failed acceptance criteria 6 (batch-size
-# robustness) and 7 (two-stage beats one-stage).  From six inputs up, seeds
-# 0-59 of the quality panel read the same without it (regret better/worse/tied:
-# sphere10 B=5 18/17/25, hartmann6 B=5 8/7/45, amp-mimic-10d 19/14/27), while
-# the draw took 37% of the refits' evidence evaluations on amp-mimic-10d
-# (seeds 0-9).  At ten inputs a log-uniform draw gives some lengthscale a value
-# below 0.05, where the evidence is flat, with probability 0.93.  The heuristic
-# start stays at every dimension: refits without it took sphere10's median
-# regret 0.390 -> 0.690.
-_REFIT_WITHOUT_DRAW_DIM = 6
+# A fit of a model with at least this many inputs, first fit and refit alike,
+# runs L-BFGS-B once, from the heuristic start; a refit then keeps ``previous``
+# itself when its evidence on the grown data is higher.  Below it, a first fit
+# also starts from ``restarts - 1`` log-uniform draws, and a refit from
+# ``previous`` and the first draw.  At 2 inputs, refits without the draw failed
+# acceptance criteria 6 (batch-size robustness) and 7 (two-stage beats
+# one-stage).  From six inputs up the extra starts bought nothing:
+# - Refits without the draw read the same on seeds 0-59 of the quality panel
+#   (regret better/worse/tied: sphere10 B=5 18/17/25, hartmann6 B=5 8/7/45,
+#   amp-mimic-10d 19/14/27); the draw took 37% of the refits' evidence
+#   evaluations on amp-mimic-10d (seeds 0-9).
+# - On the benchmark's amp-mimic-10d campaigns (5 runs), the ``previous``
+#   start took 44% of a refit's evaluations (44.4 of 100.6) and won 34 of 105
+#   refits; a first fit's four draws took 61% of its evaluations (113 of 185)
+#   and won 4 of 15 fits.
+# - One start, against the heuristic, ``previous`` and (first fits) the draws,
+#   on the panel: sphere10 B=5 median regret 0.387 -> 0.380 (better/worse/tied
+#   23/34/3), hartmann6 B=5 0.249 -> 0.250 (16/18/26), amp-mimic-10d
+#   -0.137 -> -0.148 (31/24/5), each inside the other's interquartile range.
+# - A log-uniform draw gives some lengthscale a value below 0.05, where the
+#   evidence is flat, with probability 0.80 at six inputs and 0.93 at ten.
+# - The one evaluation at ``previous`` keeps a refit's evidence at least that
+#   of the previous fit: without it, ``previous`` beat the one-start optimum
+#   in 1 of 216 ten-input refits (sphere10 B=5 and amp-mimic-10d, seeds 0-5),
+#   by 2.3 nats.
+# The heuristic start stays at every dimension: refits without it took
+# sphere10's median regret 0.390 -> 0.690.
+_ONE_START_DIM = 6
 
 # (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy ship
 # (64-bit and 32-bit integer interfaces), then of a plain OpenBLAS.
@@ -284,12 +300,16 @@ def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
 
 def log_marginal_likelihood(dataset: Dataset, hyp: KernelHyperParams) -> float:
     """GP log evidence of the standardized targets under the given hyperparameters."""
-    model = build_gp(dataset, hyp)
-    y_std = (dataset.y - model.y_mean) / model.y_scale
+    return _log_evidence(build_gp(dataset, hyp), dataset.y)
+
+
+def _log_evidence(model: GpModel, y: np.ndarray) -> float:
+    """Log evidence of the targets ``y`` that ``model`` was built on, from its cached factor."""
+    y_std = (y - model.y_mean) / model.y_scale
     return float(
         -0.5 * y_std @ model.alpha
         - np.sum(np.log(np.diag(model.chol_lower)))
-        - 0.5 * dataset.n * _LOG_2PI
+        - 0.5 * y.shape[0] * _LOG_2PI
     )
 
 
@@ -428,15 +448,19 @@ def minimize(fun, x0, args, bounds) -> MinimizeResult:
 @_one_blas_thread()
 def fit_gp(dataset: Dataset, restarts: int, seed: int = 0,
            previous: Optional[KernelHyperParams] = None) -> GpModel:
-    """Fit hyperparameters by multi-start maximization of the log evidence.
+    """Fit hyperparameters by maximizing the log evidence with L-BFGS-B.
 
-    Deterministic for a fixed seed: the first start is a fixed heuristic and the
-    remaining ``restarts - 1`` are drawn log-uniformly inside the search box.
-    A refit passes ``previous``, the hyperparameters this model was last fitted
-    to; it then starts from the heuristic, from ``previous`` and, below six
-    inputs, from the first random draw (when ``restarts >= 2``), since a few
-    new points seldom move the optimum far: at most three starts, two from six
-    inputs up.
+    Every fit starts from a fixed heuristic.  Below six inputs a first fit
+    also starts from ``restarts - 1`` draws, log-uniform inside the search box
+    and deterministic for a fixed seed.  A refit passes ``previous``, the
+    hyperparameters this model was last fitted to; below six inputs it starts
+    from the heuristic, from ``previous`` and from the first draw (when
+    ``restarts >= 2``), since a few new points seldom move the optimum far.
+    From six inputs up every fit runs one start, the heuristic, whatever
+    ``restarts`` and ``seed`` are.  A refit there evaluates the evidence at
+    ``previous`` on ``dataset`` once and returns the model built on
+    ``previous`` itself when that evidence is higher, so a refit's evidence
+    never falls below that of ``previous``.
     """
     _require_count("restarts", restarts, 1)
     if np.unique(dataset.X, axis=0).shape[0] < 2:
@@ -452,16 +476,13 @@ def fit_gp(dataset: Dataset, restarts: int, seed: int = 0,
     hi = np.array([_LOG_SIGNAL_BOUNDS[1], _LOG_NOISE_BOUNDS[1]] + [_LOG_LENGTHSCALE_BOUNDS[1]] * d)
     bounds = list(zip(lo, hi))
 
-    rng = np.random.default_rng(seed)
     starts = [np.concatenate([[0.0, math.log(0.1)], np.full(d, math.log(0.5))])]
-    if previous is not None:
-        starts.append(np.log([previous.signal_stddev, previous.noise_stddev, *previous.lengthscales]))
-    if previous is None:
-        draws = restarts - 1
-    else:
-        draws = min(restarts - 1, 1 if d < _REFIT_WITHOUT_DRAW_DIM else 0)
-    for _ in range(draws):
-        starts.append(rng.uniform(lo, hi))
+    if d < _ONE_START_DIM:
+        rng = np.random.default_rng(seed)
+        if previous is not None:
+            starts.append(np.log([previous.signal_stddev, previous.noise_stddev, *previous.lengthscales]))
+        draws = restarts - 1 if previous is None else min(restarts - 1, 1)
+        starts.extend(rng.uniform(lo, hi) for _ in range(draws))
 
     best_val, best_theta = np.inf, None
     for x0 in starts:
@@ -476,7 +497,12 @@ def fit_gp(dataset: Dataset, restarts: int, seed: int = 0,
         noise_stddev=math.exp(best_theta[1]),
         lengthscales=np.exp(best_theta[2:]),
     )
-    return build_gp(dataset, hyp)
+    model = build_gp(dataset, hyp)
+    if previous is not None and d >= _ONE_START_DIM:
+        kept = build_gp(dataset, previous)
+        if _log_evidence(kept, dataset.y) > _log_evidence(model, dataset.y):
+            return kept
+    return model
 
 
 @_one_blas_thread()

@@ -327,9 +327,12 @@ class TestFit:
 
 
 class TestWarmFit:
-    """A refit from ``previous``: the heuristic start, ``previous`` and, below six inputs, the first random draw.
+    """A refit from ``previous``, and the one-start rule from six inputs up.
 
-    At most three starts, two from six inputs up.
+    Below six inputs a refit starts from the heuristic, ``previous`` and the
+    first random draw: at most three starts.  From six inputs up a first fit
+    and a refit each start from the heuristic only, and a refit keeps
+    ``previous`` when its evidence is higher.
     """
 
     @pytest.fixture
@@ -379,9 +382,29 @@ class TestWarmFit:
         assert [x.tobytes() for x in warm] == [cold[0].tobytes(), log_previous.tobytes(), cold[1].tobytes()]
 
     @pytest.mark.parametrize("restarts", [5, 2, 1])
-    def test_six_inputs_start_from_heuristic_then_previous_only(self, starts, restarts):
-        cold, warm, log_previous = self.cold_and_warm_starts(starts, 6, restarts)
-        assert [x.tobytes() for x in warm] == [cold[0].tobytes(), log_previous.tobytes()]
+    def test_six_inputs_run_one_start_from_the_heuristic(self, starts, restarts):
+        first, grown = self.grown_data(6)
+        heuristic = np.concatenate([[0.0, math.log(0.1)], np.full(6, math.log(0.5))]).tobytes()
+        previous = fit_gp(first, restarts=restarts, seed=3).hyperparams
+        assert [x.tobytes() for x in starts] == [heuristic]
+        starts.clear()
+        fit_gp(grown, restarts=restarts, seed=4, previous=previous)
+        assert [x.tobytes() for x in starts] == [heuristic]
+
+    def test_six_inputs_keep_previous_when_its_evidence_is_higher(self, monkeypatch):
+        _, grown = self.grown_data(6)
+        previous = fit_gp(grown, restarts=5, seed=3).hyperparams
+
+        def unmoved(fun, x0, args, bounds):
+            x = np.array(x0, dtype=float)
+            return gp.MinimizeResult(fun=fun(x, *args)[0], x=x, nfev=1, nit=0, status=0)
+
+        monkeypatch.setattr("mace.gp.minimize", unmoved)
+        model = fit_gp(grown, restarts=5, seed=4, previous=previous)
+        hyp = model.hyperparams
+        assert (hyp.signal_stddev, hyp.noise_stddev) == (previous.signal_stddev, previous.noise_stddev)
+        assert hyp.lengthscales.tobytes() == previous.lengthscales.tobytes()
+        assert log_marginal_likelihood(grown, hyp) == log_marginal_likelihood(grown, previous)
 
     @pytest.mark.parametrize("restarts", [1, 5])
     @pytest.mark.parametrize("dim, far_off", [(3, False), (3, True), (6, False), (6, True)],

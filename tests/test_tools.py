@@ -115,3 +115,75 @@ def test_regret_is_the_final_value_without_a_known_optimum(monkeypatch):
     assert panel.measure(lambda seed: rec, 0)["regret"] == 0.2133 - (-3.322368011391339)
     best.feasible = False
     assert panel.measure(lambda seed: rec, 0)["regret"] is None
+
+
+PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+def bench_pairs(monkeypatch):
+    monkeypatch.syspath_prepend(str(PAIRS.parent))
+    return importlib.import_module("bench_pairs")
+
+
+def test_pairs_count_wins_and_leave_ties_to_neither_side(monkeypatch):
+    tool = bench_pairs(monkeypatch)
+    row = tool.compare([3.0, 2.0, 1.0, 5.0], [2.0, 2.0, 4.0, 1.0], "lower", 10.0)
+    assert (row["wins"], row["pairs"]) == (2, 4)
+    # For a higher-is-better metric the same values win the other pairs.
+    assert tool.compare([3.0, 2.0, 1.0, 5.0], [2.0, 2.0, 4.0, 1.0], "higher", 10.0)["wins"] == 1
+
+
+def test_pairs_flag_a_parent_spread_wider_than_the_bound_unresolved(monkeypatch):
+    tool = bench_pairs(monkeypatch)
+    parent = [40.0, 50.0, 60.0, 70.0, 80.0]  # median 60, IQR 20: a third of the median
+    row = tool.compare(parent, [45.0, 55.0, 58.0, 75.0, 79.0], "lower", 0.25)
+    assert row["parent_median"] == 60.0 and row["parent_quartiles"] == [50.0, 70.0]
+    assert row["change_median"] == 58.0
+    assert row["unresolved"] and not row["gain"]
+    assert not tool.compare(parent, [45.0, 55.0, 58.0, 75.0, 79.0], "lower", 0.5)["unresolved"]
+    # Every change run better than every parent run resolves it, in either direction.
+    assert not tool.compare(parent, [30.0, 31.0, 32.0, 33.0, 39.0], "lower", 0.25)["unresolved"]
+    assert not tool.compare(parent, [81.0, 90.0, 85.0, 82.0, 99.0], "higher", 0.25)["unresolved"]
+    assert tool.compare(parent, [30.0, 31.0, 32.0, 33.0, 40.0], "lower", 0.25)["unresolved"]
+
+
+def test_pairs_claim_a_gain_on_nine_tenths_of_wins_beyond_the_parent_iqr(monkeypatch):
+    tool = bench_pairs(monkeypatch)
+    parent = [50.0, 51.0, 52.0, 53.0, 54.0, 55.0, 56.0, 57.0, 58.0, 59.0]  # median 54.5, IQR 4.5
+    nine = [40.0] * 9 + [60.0]
+    assert tool.compare(parent, nine, "lower", 0.25)["gain"]
+    # Eight wins of ten are too few, however large the gap.
+    assert not tool.compare(parent, [40.0] * 8 + [60.0, 60.0], "lower", 0.25)["gain"]
+    # Ten wins whose median gap (4.0) is inside the parent's IQR are no gain either.
+    assert not tool.compare(parent, [v - 4.0 for v in parent], "lower", 0.25)["gain"]
+    assert tool.compare(parent, [v - 5.0 for v in parent], "lower", 0.25)["gain"]
+    # Higher is better: the same gap counts only upward.
+    assert tool.compare(parent, [v + 5.0 for v in parent], "higher", 0.25)["gain"]
+    assert not tool.compare(parent, nine, "higher", 0.25)["gain"]
+
+
+def test_pairs_run_the_parent_first_on_odd_pairs(monkeypatch, tmp_path, capsys):
+    tool = bench_pairs(monkeypatch)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    calls = []
+
+    def run(checkout, seed):
+        calls.append((checkout.name, seed))
+        value = 50.0 if checkout.name == "parent" else 40.0
+        return {"correct": seed != 932 or checkout.name == "parent",
+                "metrics": {"propose_ms.p50": {"value": value + seed - 930, "unit": "ms"}}}
+
+    status = tool.main([str(parent), str(change), "--pairs", "4", "--seed-base", "930",
+                        "--workload", "amp10-mace"], run=run)
+    assert calls == [("change", 930), ("parent", 930), ("parent", 931), ("change", 931),
+                     ("change", 932), ("parent", 932), ("parent", 933), ("change", 933)]
+    # One change run was not correct, so the tool fails, and still reports.
+    assert status == 1
+    lines = capsys.readouterr().out.splitlines()
+    record = json.loads(lines[-1])
+    assert record["correct"] is False
+    assert [(r["seed"], r["side"], r["correct"]) for r in record["runs"]][4:6] == [
+        (932, "parent", True), (932, "change", False)]
+    row = record["metrics"]["amp10-mace"]["propose_ms.p50"]
+    assert row["parent"] == [50.0, 51.0, 52.0, 53.0] and row["wins"] == 4
+    assert "amp10-mace   propose_ms.p50       parent 51.5 [50.75, 52.25]  change 41.5  wins 4/4  gain" in lines
