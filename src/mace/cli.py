@@ -27,7 +27,6 @@ import numpy as np
 from .demo import DemoConfig
 from .engine import (
     ENSEMBLE_ORDER,
-    INIT_DESIGNS,
     MODES,
     RunConfig,
     RunRecord,
@@ -54,7 +53,8 @@ class ExperimentSpec:
     """Campaign configuration: one field per config key, with its type and default.
 
     :func:`parse_config` resolves the None defaults: ``problem`` and ``budget``
-    are required, ``mode`` and ``repeats`` follow from the problem.
+    are required, ``mode`` and ``repeats`` follow from the problem.  The GP
+    fit's starts and the kind of initial design are the engine's, not keys.
     """
 
     problem: Optional[str] = _key(None, "builtin problem name, or 'cmd:<shell command>' for an external evaluator")
@@ -70,9 +70,6 @@ class ExperimentSpec:
     rho: float = _key(RunConfig.rho, low=0)
     demo_population: int = _key(DemoConfig.population_size, low=4)
     demo_evaluations: int = _key(DemoConfig.max_evaluations, low=4)
-    gp_restarts: int = _key(RunConfig.gp_restarts, "starts of each model's first GP fit below six inputs, where "
-                            "refits run at most three; from six inputs up, every fit runs one start", low=1)
-    init_design: str = _key(RunConfig.init_design, choices=INIT_DESIGNS)
     dim: Optional[int] = _key(None, "dimension of a cmd: problem", low=1)
     n_constraints: Optional[int] = _key(None, "constraint count of a cmd: problem", low=0, flag="--nc")
     bounds: Optional[list] = None  # a [lower, upper] pair per dimension; no flag sets it
@@ -96,6 +93,8 @@ def _as_int(value) -> int:
 def _as_list(value) -> list:
     if isinstance(value, str):  # a comma list, as flags spell it
         return [p for p in value.split(",") if p]
+    if not isinstance(value, (list, tuple)):  # a JSON array; an object is not a list of its keys
+        raise TypeError(value)
     return list(value)
 
 

@@ -1,13 +1,14 @@
 """The optimization loop and its proposers.
 
-One loop evaluates the initial design, then a proposed batch per iteration.  The
-MACE proposer fits GP surrogates, minimizes a vector of acquisition objectives
-with differential evolution, and samples the batch from the Pareto set; under
-constraints it first hunts for a feasible point, then optimizes a
-feasibility-aware ensemble with candidate pruning.  Stage 1 reads only the
-constraint models, so it fits only those; the objective model is fitted from
-stage 2 on.  After its first fit, each model's fit restarts from its optimum
-at the previous iteration.  The random proposer draws uniform points.
+One loop evaluates a proposed batch per iteration, the initial design first.
+The MACE proposer starts from a Latin hypercube, then fits GP surrogates,
+minimizes a vector of acquisition objectives with differential evolution, and
+samples the batch from the Pareto set; under constraints it first hunts for a
+feasible point, then optimizes a feasibility-aware ensemble with candidate
+pruning.  Stage 1 reads only the constraint models, so it fits only those; the
+objective model is fitted from stage 2 on.  After its first fit, each model's
+fit restarts from its optimum at the previous iteration.  The random proposer
+draws every point uniformly.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ _ACQ_COLUMN = {
 }
 ENSEMBLE_ORDER = tuple(_ACQ_COLUMN)
 MODES = ("unconstrained", "constrained")
-INIT_DESIGNS = ("lhs", "uniform")
 
 # An evaluator maps a (B, d) block of unit-cube points to (y, C) arrays of
 # shape (B,) and (B, n_constraints); faults are reported as NaN entries.
@@ -53,20 +53,16 @@ class RunConfig:
     seed: int = 0
     mode: str = "unconstrained"
     ensemble: tuple = ENSEMBLE_ORDER
-    init_design: str = "lhs"
-    gp_restarts: int = 5
     one_stage: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "ensemble", _canonical_ensemble(self.ensemble))
-        _require_counts(self, n_iter=0, batch_size=1, n_init=2, seed=0, gp_restarts=1)
+        _require_counts(self, n_iter=0, batch_size=1, n_init=2, seed=0)
         if not isinstance(self.one_stage, (bool, np.bool_)):
             raise ValueError(f"one_stage must be a bool, not {self.one_stage!r}")
         _require_non_negative("rho", self.rho)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
-        if self.init_design not in INIT_DESIGNS:
-            raise ValueError(f"unknown init_design: {self.init_design!r}")
 
     @property
     def total_evaluations(self) -> int:
@@ -338,17 +334,13 @@ def sample_batch(pareto: ParetoSet, batch_size: int, rng: np.random.Generator) -
     return BatchProposal(points, tuple(provenance), objectives)
 
 
-def _initial_design(config: RunConfig, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Initial design in the unit cube: uniform, or a randomized Latin hypercube.
+def _latin_hypercube(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A randomized Latin hypercube of ``n`` unit-cube points: one in each of the ``n`` strata of every column.
 
-    The Latin hypercube puts one point in each of the ``n_init`` strata of every
-    column.  Its draws follow ``scipy.stats.qmc.LatinHypercube(d=dim, seed=s)
-    .random(n_init)`` with ``g = default_rng(s)``, so the design is byte-identical
-    to scipy's, and ``import mace`` need not load ``scipy.stats``, a slow import.
+    Its draws follow ``scipy.stats.qmc.LatinHypercube(d=dim, seed=s).random(n)``
+    with ``s`` drawn from ``rng``, so the design is byte-identical to scipy's,
+    and ``import mace`` need not load ``scipy.stats``, a slow import.
     """
-    n = config.n_init
-    if config.init_design == "uniform":
-        return rng.random((n, dim))
     g = np.random.default_rng(int(rng.integers(2**31 - 1)))
     u = g.uniform(size=(n, dim))
     perms = np.tile(np.arange(1, n + 1), (dim, 1))
@@ -376,7 +368,7 @@ def _warm_start(dataset: Dataset, C: np.ndarray, cap: int) -> np.ndarray:
 
 def _run(problem: Problem, config: RunConfig, evaluator: Optional[Evaluator], algorithm: str,
          propose) -> RunRecord:
-    """The loop every runner shares: the initial design, then one batch per iteration.
+    """The loop every runner shares: one proposed batch per iteration, ``t = 0`` the initial design.
 
     ``propose(rec, t, rng)`` returns iteration ``t``'s ``(points, provenance,
     IterationRecord or None)``; ``rng`` is the run's only generator.
@@ -384,9 +376,8 @@ def _run(problem: Problem, config: RunConfig, evaluator: Optional[Evaluator], al
     evaluator = evaluator or make_evaluator(problem)
     rng = np.random.default_rng(config.seed)
     rec = RunRecord(problem.name, algorithm, problem.dim, problem.n_constraints, config)
-    initial = (_initial_design(config, problem.dim, rng), ["init"] * config.n_init, None)
     for t in range(config.n_iter + 1):
-        points, provenance, info = propose(rec, t, rng) if t else initial
+        points, provenance, info = propose(rec, t, rng)
         start = time.perf_counter()
         y, C = evaluator(points)
         wall_ms = (time.perf_counter() - start) * 1000.0
@@ -398,7 +389,7 @@ def _run(problem: Problem, config: RunConfig, evaluator: Optional[Evaluator], al
 
 
 def _mace_proposer(problem: Problem, config: RunConfig, n_c: int):
-    """MACE proposals over the problem's first ``n_c`` constraints.
+    """MACE proposals over the problem's first ``n_c`` constraints, from a Latin hypercube at ``t = 0``.
 
     ``n_c = 0`` is the unconstrained run: no warm start and no pruning.  With
     constraints, stage 1 (skipped when ``config.one_stage``) hunts for a
@@ -406,6 +397,8 @@ def _mace_proposer(problem: Problem, config: RunConfig, n_c: int):
     """
 
     def propose(rec: RunRecord, t: int, rng: np.random.Generator):
+        if t == 0:
+            return _latin_hypercube(config.n_init, problem.dim, rng), ["init"] * config.n_init, None
         # Drawn in stage 1 too, so the rng stream does not depend on the stage.
         obj_seed = int(rng.integers(2**31 - 1))
         con_seeds = [int(rng.integers(2**31 - 1)) for _ in range(n_c)]
@@ -418,14 +411,13 @@ def _mace_proposer(problem: Problem, config: RunConfig, n_c: int):
             stage = "stage2" if config.one_stage or feasible.any() else "stage1"
         # Each model's previous fit, constraints first; None for a first fit.
         previous = rec.iterations[-1].hyperparams if rec.iterations else (None,) * (n_c + 1)
-        constraint_models = [fit_gp(Dataset(ds.X, C[:, j]), restarts=config.gp_restarts, seed=con_seeds[j],
-                                    previous=previous[j])
+        constraint_models = [fit_gp(Dataset(ds.X, C[:, j]), seed=con_seeds[j], previous=previous[j])
                              for j in range(n_c)]
         objective_model = None
         if stage == "stage1":
             objective_fn = build_stage1_objectives(constraint_models)
         else:
-            objective_model = fit_gp(ds, restarts=config.gp_restarts, seed=obj_seed, previous=previous[n_c])
+            objective_model = fit_gp(ds, seed=obj_seed, previous=previous[n_c])
             tau = float(ds.y[feasible].min()) if feasible.any() else float(ds.y.min())
             if stage == "stage2":
                 objective_fn = build_stage2_objectives(objective_model, constraint_models, tau, t, config.ensemble)
@@ -463,9 +455,10 @@ def run_constrained(problem: Problem, config: RunConfig, evaluator: Optional[Eva
 
 def run_random(problem: Problem, config: RunConfig, evaluator: Optional[Evaluator] = None,
                algorithm: str = "random") -> RunRecord:
-    """Uniform random search with the same budget and record shape as the engine."""
+    """Uniform random search, initial design included, with the same budget and record shape as the engine."""
 
     def propose(rec, t, rng):
-        return rng.random((config.batch_size, problem.dim)), ["random"] * config.batch_size, None
+        n, label = (config.n_init, "init") if t == 0 else (config.batch_size, "random")
+        return rng.random((n, problem.dim)), [label] * n, None
 
     return _run(problem, config, evaluator, algorithm, propose)

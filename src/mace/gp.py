@@ -303,14 +303,14 @@ def log_marginal_likelihood(dataset: Dataset, hyp: KernelHyperParams) -> float:
     return _log_evidence(build_gp(dataset, hyp), dataset.y)
 
 
+def _evidence(y_std: np.ndarray, alpha: np.ndarray, L: np.ndarray):
+    """Log evidence -0.5 y^T alpha - sum(log diag L) - (n/2) log 2pi from K = L L^T and alpha = K^-1 y."""
+    return -0.5 * y_std @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * y_std.shape[0] * _LOG_2PI
+
+
 def _log_evidence(model: GpModel, y: np.ndarray) -> float:
     """Log evidence of the targets ``y`` that ``model`` was built on, from its cached factor."""
-    y_std = (y - model.y_mean) / model.y_scale
-    return float(
-        -0.5 * y_std @ model.alpha
-        - np.sum(np.log(np.diag(model.chol_lower)))
-        - 0.5 * y.shape[0] * _LOG_2PI
-    )
+    return float(_evidence((y - model.y_mean) / model.y_scale, model.alpha, model.chol_lower))
 
 
 @_one_blas_thread()
@@ -357,7 +357,7 @@ def _neg_lml_and_grad(log_theta: np.ndarray, sqdists: np.ndarray, y_std: np.ndar
     if info != 0:
         return 1e25, np.zeros_like(log_theta)
     alpha = dpotrs(L, y_std, lower=1)[0]
-    lml = -0.5 * y_std @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * _LOG_2PI
+    lml = _evidence(y_std, alpha, L)
     # dpotrf zeroed the upper triangle and dpotri keeps it, so this array holds
     # K^-1 on and below the diagonal only.  Weighting that half twice instead
     # of symmetrizing is exact for the lengthscale terms because S is
@@ -446,13 +446,14 @@ def minimize(fun, x0, args, bounds) -> MinimizeResult:
 
 
 @_one_blas_thread()
-def fit_gp(dataset: Dataset, restarts: int, seed: int = 0,
+def fit_gp(dataset: Dataset, restarts: int = 5, seed: int = 0,
            previous: Optional[KernelHyperParams] = None) -> GpModel:
     """Fit hyperparameters by maximizing the log evidence with L-BFGS-B.
 
     Every fit starts from a fixed heuristic.  Below six inputs a first fit
-    also starts from ``restarts - 1`` draws, log-uniform inside the search box
-    and deterministic for a fixed seed.  A refit passes ``previous``, the
+    also starts from ``restarts - 1`` draws (four at the default), log-uniform
+    inside the search box and deterministic for a fixed seed.  The MACE
+    proposer fits every model at the default.  A refit passes ``previous``, the
     hyperparameters this model was last fitted to; below six inputs it starts
     from the heuristic, from ``previous`` and from the first draw (when
     ``restarts >= 2``), since a few new points seldom move the optimum far.

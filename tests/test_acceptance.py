@@ -79,7 +79,7 @@ def ring_runs():
     ]
     rand = [
         run_random(problem, RunConfig(n_iter=20, batch_size=5, n_init=20, seed=s,
-                                      mode="constrained", init_design="uniform"))
+                                      mode="constrained"))
         for s in range(20)
     ]
     return mace, omace, rand, time.perf_counter() - start
@@ -265,7 +265,7 @@ def test_criterion_9_campaign_determinism(tmp_path_factory):
     out = tmp_path_factory.mktemp("determinism") / "campaign"
     overrides = dict(
         problem="branin", budget=40, batch=4, n_init=8, repeats=2, seed=7,
-        demo_population=30, demo_evaluations=120, gp_restarts=3,
+        demo_population=30, demo_evaluations=120,
         out_dir=str(out),
     )
     run_campaign(parse_config(None, overrides))

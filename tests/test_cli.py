@@ -103,7 +103,6 @@ def tiny_overrides(**extra):
         seed=0,
         demo_population=20,
         demo_evaluations=60,
-        gp_restarts=2,
     )
     base.update(extra)
     return base
@@ -187,7 +186,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("key, value", [
         ("budget", "abc"), ("rho", "x"), ("timeout", "q"), ("ensemble", 5), ("batch", 2.9),
         ("seed", True), ("bounds", [[0.0, "x"], [0.0, 1.0]]), ("bounds", [[1.0, 0.0], [0.0, 1.0]]),
-        ("ensemble", ["lcb", "ucb"]), ("ensemble", []),
+        ("ensemble", ["lcb", "ucb"]), ("ensemble", []), ("ensemble", {"pi": 1, "ei": 2}),
     ])
     def test_malformed_value_names_key(self, key, value, tmp_path):
         config = {"problem": "cmd:true", "dim": 2, "budget": 30, key: value}
@@ -203,12 +202,16 @@ class TestParseConfig:
         assert parse_config(None, {"problem": "branin", "budget": 30.0, "batch": "3"}).batch == 3
 
     def test_acquisition_constants_are_unknown_keys(self, tmp_path, capsys):
-        # Keys that were removed: xi, nu and delta are mace.acquisition constants, and
-        # a child that must cap its concurrent simulations queues them itself.
+        # Keys that were removed: xi, nu and delta are mace.acquisition constants, a
+        # child that must cap its concurrent simulations queues them itself, fit_gp's
+        # default decides the GP fit's starts, and each algorithm draws its own
+        # initial design.
         path = tmp_path / "c.json"
-        for key, text in (("xi", "0.01"), ("nu", "0.5"), ("delta", "0.1"), ("max_parallel", "2")):
+        for key, text in (("xi", "0.01"), ("nu", "0.5"), ("delta", "0.1"), ("max_parallel", "2"),
+                          ("gp_restarts", "2"), ("init_design", "lhs")):
             flag = "--" + key.replace("_", "-")
-            path.write_text(json.dumps({"problem": "branin", "budget": 30, key: float(text)}))
+            # The unknown-key check comes before any value is read, so the value's type does not matter.
+            path.write_text(json.dumps({"problem": "branin", "budget": 30, key: text}))
             for argv, named in ((["run", "--config", str(path)], f"unknown key: {key}"),
                                 (["run", "--problem", "branin", "--budget", "30", flag, text],
                                  f"unrecognized arguments: {flag}")):
@@ -360,7 +363,7 @@ class TestExternalEvaluate:
 def external_spec(command, **extra):
     """A small cmd: campaign: 8 initial points, then 3 batches of 2."""
     base = dict(problem=f"cmd:{command}", dim=2, budget=14, batch=2, n_init=8, repeats=1, seed=1,
-                demo_population=20, demo_evaluations=40, gp_restarts=2, timeout=30)
+                demo_population=20, demo_evaluations=40, timeout=30)
     base.update(extra)
     return parse_config(None, base)
 
@@ -562,7 +565,6 @@ class TestCampaign:
                 seed=1,
                 demo_population=20,
                 demo_evaluations=40,
-                gp_restarts=2,
                 out_dir=str(tmp_path / "ext"),
                 timeout=30,
             ),
@@ -608,8 +610,6 @@ SURFACE = [
     ("rho", "--rho", "0.1", 0.1, BASE),
     ("demo_population", "--demo-population", "20", 20, BASE),
     ("demo_evaluations", "--demo-evaluations", "4000", 4000, BASE),
-    ("gp_restarts", "--gp-restarts", "3", 3, BASE),
-    ("init_design", "--init-design", "uniform", "uniform", BASE),
     ("dim", "--dim", "3", 3, EXTERNAL),
     ("n_constraints", "--nc", "1", 1, EXTERNAL),
     ("timeout", "--timeout", "12.5", 12.5, EXTERNAL),
@@ -645,7 +645,7 @@ class TestMain:
         rc = main([
             "run", "--problem", f"cmd:{child('infeasible')}", "--dim", "2", "--nc", "1",
             "--budget", "12", "--batch", "2", "--n-init", "8", "--repeats", "1",
-            "--demo-population", "20", "--demo-evaluations", "40", "--gp-restarts", "2",
+            "--demo-population", "20", "--demo-evaluations", "40",
             "--timeout", "30", "--out", str(tmp_path / "cli"),
         ])
         assert rc == 0
@@ -661,7 +661,7 @@ class TestMain:
             "run", "--problem", "branin", "--budget", "12", "--batch", "2",
             "--n-init", "8", "--repeats", "1", "--seed", "0",
             "--out", str(tmp_path / "cli"),
-        ] + ["--gp-restarts", "2"])
+        ])
         assert rc == 0
         out = capsys.readouterr().out
         assert "summary.json" in out

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from mace.engine import (
     EvalRecord,
     RunConfig,
     RunRecord,
-    _initial_design,
+    _latin_hypercube,
     _run,
     _warm_start,
     build_stage1_objectives,
@@ -542,7 +541,7 @@ class TestRunConstrained:
 
         monkeypatch.setattr(mace.engine, "fit_gp", counting_fit_gp)
         problem = builtin("ring-constrained-2d")
-        cfg = RunConfig(n_iter=4, batch_size=3, n_init=6, seed=3, gp_restarts=2,
+        cfg = RunConfig(n_iter=4, batch_size=3, n_init=6, seed=6,
                         mode="constrained", demo=SMALL_DEMO)
         rec = run_constrained(problem, cfg)
         stages = [it.stage for it in rec.iterations]
@@ -556,14 +555,14 @@ class TestRunConstrained:
         calls = []  # (previous, fitted hyperparameters) per fit, in call order
         original = mace.engine.fit_gp
 
-        def recording_fit_gp(dataset, restarts, seed=0, previous=None):
-            model = original(dataset, restarts, seed, previous)
+        def recording_fit_gp(dataset, seed=0, previous=None, **kwargs):
+            model = original(dataset, seed=seed, previous=previous, **kwargs)
             calls.append((previous, model.hyperparams))
             return model
 
         monkeypatch.setattr(mace.engine, "fit_gp", recording_fit_gp)
         problem = builtin(problem_name)
-        cfg = RunConfig(n_iter=4, batch_size=3, n_init=6, seed=3, gp_restarts=2, demo=SMALL_DEMO)
+        cfg = RunConfig(n_iter=4, batch_size=3, n_init=6, seed=6, demo=SMALL_DEMO)
         rec = runner(problem, cfg)
         n_c = rec.n_constraints
         fits = iter(calls)
@@ -588,7 +587,7 @@ class TestRunConstrained:
 
     def test_hyperparams_stay_outside_the_signature(self):
         problem = builtin("ring-constrained-2d")
-        cfg = RunConfig(n_iter=2, batch_size=3, n_init=6, seed=3, gp_restarts=2, demo=SMALL_DEMO)
+        cfg = RunConfig(n_iter=2, batch_size=3, n_init=6, seed=3, demo=SMALL_DEMO)
         rec = run_constrained(problem, cfg)
         before = rec.signature()
         assert all(len(it.hyperparams) == 2 for it in rec.iterations)
@@ -598,7 +597,7 @@ class TestRunConstrained:
 
     def test_adaptive_violations_are_the_last_objective_column(self):
         problem = builtin("ring-constrained-2d")
-        cfg = RunConfig(n_iter=4, batch_size=3, n_init=6, seed=3, gp_restarts=2, demo=SMALL_DEMO)
+        cfg = RunConfig(n_iter=4, batch_size=3, n_init=6, seed=6, demo=SMALL_DEMO)
         rec = run_constrained(problem, cfg)
         assert {"stage1", "stage2"} <= {it.stage for it in rec.iterations}
         for it in rec.iterations:
@@ -623,7 +622,7 @@ class TestRunConstrained:
 
         monkeypatch.setattr(mace.engine, "predict", recording_predict)
         monkeypatch.setattr(mace.engine, "demo_optimize", flagging_demo)
-        cfg = RunConfig(n_iter=4, batch_size=3, n_init=6, seed=3, gp_restarts=2, demo=SMALL_DEMO)
+        cfg = RunConfig(n_iter=4, batch_size=3, n_init=6, seed=6, demo=SMALL_DEMO)
         rec = run_constrained(builtin("ring-constrained-2d"), cfg)
         assert {"stage1", "stage2"} <= {it.stage for it in rec.iterations}
         assert calls and all(calls)
@@ -668,7 +667,7 @@ class TestRunConstrained:
             y, C = base(X)
             return corrupt(y, C) if calls[0] == 2 else (y, C)
 
-        cfg = RunConfig(n_iter=2, batch_size=3, n_init=6, seed=0, gp_restarts=2, demo=SMALL_DEMO)
+        cfg = RunConfig(n_iter=2, batch_size=3, n_init=6, seed=0, demo=SMALL_DEMO)
         with pytest.raises(DimensionMismatchError, match="expected"):
             run_constrained(problem, cfg, evaluator=bad_first_proposal)
         # The check comes before any row of the bad batch is recorded.
@@ -708,7 +707,7 @@ class TestFaultInjection:
     def test_faults_recorded_and_never_incumbent(self, runner, problem_name, extra):
         problem = builtin(problem_name)
         injected = []
-        cfg = RunConfig(n_iter=5, batch_size=4, n_init=10, seed=3, gp_restarts=2, demo=SMALL_DEMO, **extra)
+        cfg = RunConfig(n_iter=5, batch_size=4, n_init=10, seed=3, demo=SMALL_DEMO, **extra)
         rec = runner(problem, cfg, evaluator=self.flaky(problem, injected))
         assert len(rec.evaluations) == cfg.total_evaluations
         assert any(injected) and not all(injected)
@@ -723,7 +722,7 @@ class TestFaultInjection:
     def test_trace_holds_the_evaluation_records(self):
         problem = builtin("ring-constrained-2d")
         injected = []
-        cfg = RunConfig(n_iter=3, batch_size=4, n_init=10, seed=3, gp_restarts=2, demo=SMALL_DEMO)
+        cfg = RunConfig(n_iter=3, batch_size=4, n_init=10, seed=3, demo=SMALL_DEMO)
         rec = run_constrained(problem, cfg, evaluator=self.flaky(problem, injected))
         assert any(injected)
         traced = [inc for inc in rec.incumbent_trace if inc is not None]
@@ -766,6 +765,16 @@ class TestRunRandom:
         assert len(a.evaluations) == cfg.total_evaluations
         assert a.signature() == b.signature()
 
+    def test_every_point_is_a_uniform_draw(self):
+        problem = builtin("ring-constrained-2d")
+        cfg = RunConfig(n_iter=3, batch_size=4, n_init=6, seed=11)
+        rec = run_random(problem, cfg)
+        g = np.random.default_rng(11)
+        expected = [g.random((n, problem.dim)) for n in (6, 4, 4, 4)]
+        np.testing.assert_array_equal(np.vstack([r.x for r in rec.evaluations]), np.vstack(expected))
+        assert [r.provenance for r in rec.evaluations] == ["init"] * 6 + ["random"] * 12
+        assert [r.iteration for r in rec.evaluations] == [0] * 6 + [1] * 4 + [2] * 4 + [3] * 4
+
 
 class TestRunConfig:
     def test_validation(self):
@@ -777,29 +786,23 @@ class TestRunConfig:
             RunConfig(n_iter=1, batch_size=1, ensemble=())
         with pytest.raises(ValueError):
             RunConfig(n_iter=1, batch_size=1, ensemble=("ucb",))
-        for restarts in (0, -3):
-            with pytest.raises(ValueError, match="gp_restarts"):
-                RunConfig(n_iter=1, batch_size=1, gp_restarts=restarts)
         with pytest.raises(ValueError, match="n_iter"):
             RunConfig(n_iter=-1, batch_size=1)
         with pytest.raises(ValueError, match="mode"):
             RunConfig(n_iter=1, batch_size=1, mode="two-stage")
-        with pytest.raises(ValueError, match="init_design"):
-            RunConfig(n_iter=1, batch_size=1, init_design="grid")
 
     @pytest.mark.parametrize("ensemble", [None, 5, 1.5])
     def test_ensemble_must_be_names(self, ensemble):
         with pytest.raises(ValueError, match="^ensemble must be a name or an iterable of names"):
             RunConfig(n_iter=1, batch_size=1, ensemble=ensemble)
 
-    @pytest.mark.parametrize("field, minimum", [("n_iter", 0), ("batch_size", 1), ("n_init", 2), ("gp_restarts", 1),
-                                                ("seed", 0)])
+    @pytest.mark.parametrize("field, minimum", [("n_iter", 0), ("batch_size", 1), ("n_init", 2), ("seed", 0)])
     def test_declared_minimums(self, field, minimum):
         with pytest.raises(ValueError, match=f"^{field} must be at least {minimum}$"):
             RunConfig(**{"n_iter": 1, "batch_size": 1, field: minimum - 1})
         assert getattr(RunConfig(**{"n_iter": 1, "batch_size": 1, field: minimum}), field) == minimum
 
-    @pytest.mark.parametrize("field", ["n_iter", "batch_size", "n_init", "gp_restarts", "seed"])
+    @pytest.mark.parametrize("field", ["n_iter", "batch_size", "n_init", "seed"])
     @pytest.mark.parametrize("value", [1.5, 4.0, "4", True, None])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -823,8 +826,7 @@ class TestRunConfig:
         assert RunConfig(n_iter=1, batch_size=1, one_stage=np.bool_(True)).one_stage
 
     def test_numpy_integer_counts_accepted(self):
-        cfg = RunConfig(n_iter=np.int64(1), batch_size=np.int32(2), n_init=np.int64(4),
-                        gp_restarts=np.uint8(2))
+        cfg = RunConfig(n_iter=np.int64(1), batch_size=np.int32(2), n_init=np.int64(4), seed=np.uint8(2))
         assert cfg.total_evaluations == 6
 
     def test_ensemble_canonicalized(self):
@@ -844,9 +846,7 @@ class TestInitialDesign:
 
     @staticmethod
     def lhs(n, d, seed):
-        # A plain namespace: RunConfig rejects n_init=1, the design itself does not.
-        config = SimpleNamespace(n_init=n, init_design="lhs")
-        return _initial_design(config, d, np.random.default_rng(seed))
+        return _latin_hypercube(n, d, np.random.default_rng(seed))
 
     @pytest.mark.parametrize("d", [1, 2, 10])
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 120])
@@ -867,9 +867,11 @@ class TestInitialDesign:
             assert np.array_equal(strata, np.tile(np.arange(n)[:, None], (1, d)))
 
     def test_uniform_is_the_run_generators_first_draw(self):
-        config = RunConfig(n_iter=0, batch_size=1, n_init=7, init_design="uniform")
-        got = _initial_design(config, 3, np.random.default_rng(5))
-        assert got.tobytes() == np.random.default_rng(5).random((7, 3)).tobytes()
+        # run_random's initial design; the MACE runners start from the Latin hypercube.
+        rec = run_random(builtin("hartmann6"), RunConfig(n_iter=0, batch_size=1, n_init=7, seed=5))
+        got = np.vstack([r.x for r in rec.evaluations])
+        assert got.tobytes() == np.random.default_rng(5).random((7, 6)).tobytes()
+        assert [r.provenance for r in rec.evaluations] == ["init"] * 7
 
     @staticmethod
     def fresh_import_loads(module):
@@ -974,8 +976,8 @@ class TestProposeOnOneBlasThread:
         probe = BlasProbe(blas_at_two)
         rec = probe.run(n_iter=3)
         twos = [2] * len(blas_at_two)
-        assert len(rec.evaluations) == 5
-        assert probe.in_propose == [twos] * 3
+        assert len(rec.evaluations) == 4
+        assert probe.in_propose == [twos] * 4
         assert probe.in_evaluator == [twos] * 4
         assert blas_counts(blas_at_two) == twos
         assert gp._blas_depth == 0

@@ -26,7 +26,7 @@ from mace.problems import builtin  # noqa: E402
 
 SEEDS = range(3)
 # run_single's small campaign, per algorithm; omace needs a constrained problem.
-SMALL = {"budget": 40, "batch": 4, "n_init": 8, "demo_population": 30, "demo_evaluations": 120, "gp_restarts": 3}
+SMALL = {"budget": 40, "batch": 4, "n_init": 8, "demo_population": 30, "demo_evaluations": 120}
 
 
 def _engine(runner, problem, **config):
@@ -44,8 +44,7 @@ GROUPS = {
     "ring-mace": _engine(run_constrained, "ring-constrained-2d", n_iter=20, batch_size=5, n_init=20),
     "ring-omace": _engine(run_constrained, "ring-constrained-2d", n_iter=20, batch_size=5, n_init=20,
                           one_stage=True),
-    "ring-random-uniform": _engine(run_random, "ring-constrained-2d", n_iter=20, batch_size=5, n_init=20,
-                                   init_design="uniform"),
+    "ring-random-uniform": _engine(run_random, "ring-constrained-2d", n_iter=20, batch_size=5, n_init=20),
     "amp10-mace": _spec(problem="amp-mimic-10d", budget=60, batch=5, algorithm="mace"),
     **{f"single-{algo}": _spec(problem="ring-constrained-2d" if algo == "omace" else "branin",
                                algorithm=algo, **SMALL)
