@@ -140,7 +140,7 @@ def fast_non_dominated_fronts(F: np.ndarray, size: int | None = None) -> list[np
         fronts.append(front)
         left -= front.size
         counts[front] = -1
-        counts -= D[front].sum(axis=0)
+        counts -= D[front[0]] if front.size == 1 else D[front].sum(axis=0)
     return fronts
 
 

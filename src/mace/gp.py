@@ -53,10 +53,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # A fit of a model with at least this many inputs, first fit and refit alike,
 # runs L-BFGS-B once, from the heuristic start; a refit then keeps ``previous``
 # itself when its evidence on the grown data is higher.  Below it, a first fit
-# also starts from ``restarts - 1`` log-uniform draws, and a refit from
-# ``previous`` and the first draw.  At 2 inputs, refits without the draw failed
-# acceptance criteria 6 (batch-size robustness) and 7 (two-stage beats
-# one-stage).  From six inputs up the extra starts bought nothing:
+# starts from the heuristic and ``restarts - 1`` log-uniform draws, and a
+# refit from ``previous`` and the first draw.  At 2 inputs, refits without the
+# draw failed acceptance criteria 6 (batch-size robustness) and 7 (two-stage
+# beats one-stage).  From six inputs up the extra starts bought nothing:
 # - Refits without the draw read the same on seeds 0-59 of the quality panel
 #   (regret better/worse/tied: sphere10 B=5 18/17/25, hartmann6 B=5 8/7/45,
 #   amp-mimic-10d 19/14/27); the draw took 37% of the refits' evidence
@@ -75,8 +75,14 @@ _LOG_2PI = math.log(2.0 * math.pi)
 #   of the previous fit: without it, ``previous`` beat the one-start optimum
 #   in 1 of 216 ten-input refits (sphere10 B=5 and amp-mimic-10d, seeds 0-5),
 #   by 2.3 nats.
-# The heuristic start stays at every dimension: refits without it took
-# sphere10's median regret 0.390 -> 0.690.
+# The heuristic start stays in first fits at every dimension, and in every fit
+# from six inputs up: there, refits without it took sphere10's median regret
+# 0.390 -> 0.690.  Below six inputs refits leave it out, which the quality
+# panel (seeds 0-59) read as two-input median regret branin B=5
+# 2.301e-4 -> 2.243e-4 (better/worse/tied 1/1/58), branin B=15
+# 9.645e-4 -> 8.679e-4 (3/0/57), ring-constrained-2d 9.979e-4 -> 1.189e-3
+# (8/11/41, inside the other's interquartile range), and cut the evidence
+# evaluations of the benchmark's branin-cmd campaigns (seed 7) 1537 -> 1000.
 _ONE_START_DIM = 6
 
 # (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy ship
@@ -450,13 +456,13 @@ def fit_gp(dataset: Dataset, restarts: int = 5, seed: int = 0,
            previous: Optional[KernelHyperParams] = None) -> GpModel:
     """Fit hyperparameters by maximizing the log evidence with L-BFGS-B.
 
-    Every fit starts from a fixed heuristic.  Below six inputs a first fit
-    also starts from ``restarts - 1`` draws (four at the default), log-uniform
-    inside the search box and deterministic for a fixed seed.  The MACE
-    proposer fits every model at the default.  A refit passes ``previous``, the
+    A first fit starts from a fixed heuristic and, below six inputs, from
+    ``restarts - 1`` draws (four at the default), log-uniform inside the
+    search box and deterministic for a fixed seed.  The MACE proposer fits
+    every model at the default.  A refit passes ``previous``, the
     hyperparameters this model was last fitted to; below six inputs it starts
-    from the heuristic, from ``previous`` and from the first draw (when
-    ``restarts >= 2``), since a few new points seldom move the optimum far.
+    from ``previous`` and from the first draw (when ``restarts >= 2``): at most
+    two starts, since a few new points seldom move the optimum far.
     From six inputs up every fit runs one start, the heuristic, whatever
     ``restarts`` and ``seed`` are.  A refit there evaluates the evidence at
     ``previous`` on ``dataset`` once and returns the model built on
@@ -481,7 +487,7 @@ def fit_gp(dataset: Dataset, restarts: int = 5, seed: int = 0,
     if d < _ONE_START_DIM:
         rng = np.random.default_rng(seed)
         if previous is not None:
-            starts.append(np.log([previous.signal_stddev, previous.noise_stddev, *previous.lengthscales]))
+            starts = [np.log([previous.signal_stddev, previous.noise_stddev, *previous.lengthscales])]
         draws = restarts - 1 if previous is None else min(restarts - 1, 1)
         starts.extend(rng.uniform(lo, hi) for _ in range(draws))
 

@@ -329,10 +329,10 @@ class TestFit:
 class TestWarmFit:
     """A refit from ``previous``, and the one-start rule from six inputs up.
 
-    Below six inputs a refit starts from the heuristic, ``previous`` and the
-    first random draw: at most three starts.  From six inputs up a first fit
-    and a refit each start from the heuristic only, and a refit keeps
-    ``previous`` when its evidence is higher.
+    Below six inputs a first fit starts from the heuristic and the random
+    draws, and a refit from ``previous`` and the first draw: at most two
+    starts.  From six inputs up a first fit and a refit each start from the
+    heuristic only, and a refit keeps ``previous`` when its evidence is higher.
     """
 
     @pytest.fixture
@@ -367,19 +367,30 @@ class TestWarmFit:
         log_previous = np.log([previous.signal_stddev, previous.noise_stddev, *previous.lengthscales])
         return cold, list(starts), log_previous
 
-    @pytest.mark.parametrize("restarts, expected", [(5, 3), (2, 3), (1, 2)])
-    def test_at_most_three_starts(self, starts, restarts, expected):
+    @pytest.mark.parametrize("restarts, expected", [(5, 2), (2, 2), (1, 1)])
+    def test_at_most_two_starts(self, starts, restarts, expected):
         _, warm, _ = self.cold_and_warm_starts(starts, 3, restarts)
         assert len(warm) == expected
 
-    def test_starts_are_heuristic_previous_then_first_draw(self, starts):
+    def test_starts_are_previous_then_first_draw(self, starts):
         cold, warm, log_previous = self.cold_and_warm_starts(starts, 3, 5)
         assert len(cold) == 5
-        assert [x.tobytes() for x in warm] == [cold[0].tobytes(), log_previous.tobytes(), cold[1].tobytes()]
+        assert [x.tobytes() for x in warm] == [log_previous.tobytes(), cold[1].tobytes()]
 
     def test_five_inputs_keep_the_first_draw(self, starts):
         cold, warm, log_previous = self.cold_and_warm_starts(starts, 5, 5)
-        assert [x.tobytes() for x in warm] == [cold[0].tobytes(), log_previous.tobytes(), cold[1].tobytes()]
+        assert [x.tobytes() for x in warm] == [log_previous.tobytes(), cold[1].tobytes()]
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_only_a_first_fit_starts_from_the_heuristic(self, starts, dim):
+        cold, warm, _ = self.cold_and_warm_starts(starts, dim, 5)
+        heuristic = np.concatenate([[0.0, math.log(0.1)], np.full(dim, math.log(0.5))]).tobytes()
+        assert cold[0].tobytes() == heuristic
+        assert heuristic not in [x.tobytes() for x in warm]
+
+    def test_one_restart_refit_starts_from_previous_only(self, starts):
+        _, warm, log_previous = self.cold_and_warm_starts(starts, 3, 1)
+        assert [x.tobytes() for x in warm] == [log_previous.tobytes()]
 
     @pytest.mark.parametrize("restarts", [5, 2, 1])
     def test_six_inputs_run_one_start_from_the_heuristic(self, starts, restarts):

@@ -187,3 +187,40 @@ def test_pairs_run_the_parent_first_on_odd_pairs(monkeypatch, tmp_path, capsys):
     row = record["metrics"]["amp10-mace"]["propose_ms.p50"]
     assert row["parent"] == [50.0, 51.0, 52.0, 53.0] and row["wins"] == 4
     assert "amp10-mace   propose_ms.p50       parent 51.5 [50.75, 52.25]  change 41.5  wins 4/4  gain" in lines
+
+
+def test_pairs_record_and_print_the_load_at_each_run_start(monkeypatch, tmp_path, capsys):
+    tool = bench_pairs(monkeypatch)
+    loads = {("parent", 40): 0.5, ("change", 40): 1.5, ("parent", 41): 2.5, ("change", 41): 1.0,
+             ("parent", 42): 1.0}
+
+    def run(checkout, seed):
+        value = 50.0 if checkout.name == "parent" else 40.0
+        load = loads.get((checkout.name, seed))
+        return {"correct": True, "loadavg_start": None if load is None else [load, 0.9, 0.8],
+                "metrics": {"propose_ms.p50": {"value": value, "unit": "ms"}}}
+
+    status = tool.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--pairs", "3",
+                        "--seed-base", "40", "--workload", "ring-mace"], run=run)
+    assert status == 0
+    lines = capsys.readouterr().out.splitlines()
+    record = json.loads(lines[-1])
+    assert [(r["seed"], r["side"], r["loadavg_start"]) for r in record["runs"]] == [
+        (40, "parent", [0.5, 0.9, 0.8]), (40, "change", [1.5, 0.9, 0.8]),
+        (41, "parent", [2.5, 0.9, 0.8]), (41, "change", [1.0, 0.9, 0.8]),
+        (42, "parent", [1.0, 0.9, 0.8]), (42, "change", None)]
+    # The medians of the one-minute loads; a run without an env line is left out.
+    assert "ring-mace    loadavg_start        parent 1  change 1.25" in lines
+
+
+def test_pairs_read_the_load_from_the_env_line(monkeypatch, tmp_path):
+    tool = bench_pairs(monkeypatch)
+    summary = {"correct": True, "metrics": {}}
+    script = tmp_path / "fake_run.py"
+    script.write_text(
+        "import json\n"
+        "print('env', json.dumps({'nproc': 2, 'loadavg_start': [0.25, 0.5, 0.75]}))\n"
+        "print('ring-mace  propose_ms.p50 = 40 ms')\n"
+        f"print(json.dumps({summary!r}))\n")
+    out = tool.run_once(tmp_path, 7, [sys.executable, str(script)], "ring-mace")
+    assert out["correct"] and out["loadavg_start"] == [0.25, 0.5, 0.75]

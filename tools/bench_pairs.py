@@ -20,9 +20,13 @@ neither side), then each flag that holds:
   median is better than the parent's by more than the parent's
   interquartile range.
 
+Each workload's block starts with each side's median one-minute load average
+at the start of its runs (``loadavg_start`` of the ``env`` line that
+``perfbench/run.py`` prints), since a busy machine slows both sides unevenly.
 The last line of stdout is the JSON record: the arguments, every run's seed,
-side and correctness, and per workload and metric the values on each side and
-the comparison.  The exit status is 1 if any run was not ``correct``, else 0.
+side, correctness and ``loadavg_start``, and per workload and metric the values
+on each side and the comparison.  The exit status is 1 if any run was not
+``correct``, else 0.
 """
 
 from __future__ import annotations
@@ -38,7 +42,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_once(checkout: Path, seed: int, command: list, workload: str) -> dict:
-    """One ``--trace 0`` run in ``checkout``: the summary its last stdout line holds."""
+    """One ``--trace 0`` run in ``checkout``: the summary its last stdout line holds.
+
+    ``loadavg_start`` is copied into it from the run's ``env`` line, or is None
+    when the run printed none.
+    """
     proc = subprocess.run([*command, "--workload", workload, "--seed", str(seed), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -47,6 +55,8 @@ def run_once(checkout: Path, seed: int, command: list, workload: str) -> dict:
     except (IndexError, json.JSONDecodeError):
         summary = {}
     summary["correct"] = proc.returncode == 0 and summary.get("correct") is True
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
+    summary["loadavg_start"] = env.get("loadavg_start")
     return summary
 
 
@@ -115,8 +125,12 @@ def main(argv=None, run=None) -> int:
     results = run_pairs(args.parent.resolve(), args.change.resolve(), args.pairs, args.seed_base, run)
     sides = [(by_workload(p, args.workload), by_workload(c, args.workload)) for p, c in results]
     names = [w["name"] for w in manifest["workloads"]] if args.workload == "all" else [args.workload]
+    load = {side: [s["loadavg_start"][0] for s in column if s.get("loadavg_start")]
+            for side, column in zip(("parent", "change"), zip(*results))}
+    load_text = "  ".join(f"{side} {np.median(v):.3g}" if v else f"{side} -" for side, v in load.items())
     table: dict = {}
     for name in names:
+        print(f"{name:12s} {'loadavg_start':20s} {load_text}")
         for spec in manifest["end_to_end"]:
             metric = spec["name"]
             paired = [(p[name][metric], c[name][metric]) for p, c in sides
@@ -133,7 +147,8 @@ def main(argv=None, run=None) -> int:
     record = {
         "parent": str(args.parent), "change": str(args.change), "workload": args.workload,
         "pairs": args.pairs, "seed_base": args.seed_base, "correct": correct,
-        "runs": [{"pair": i, "seed": args.seed_base + i, "side": side, "correct": s["correct"]}
+        "runs": [{"pair": i, "seed": args.seed_base + i, "side": side, "correct": s["correct"],
+                  "loadavg_start": s.get("loadavg_start")}
                  for i, pair in enumerate(results) for side, s in zip(("parent", "change"), pair)],
         "metrics": table,
     }
